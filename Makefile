@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race lint ci smoke plancompare bench bench-json bench-gate experiments quick-experiments cover
+.PHONY: all build vet test race fuzz lint ci smoke plancompare bench bench-json bench-gate experiments quick-experiments cover
 
 all: build vet test
 
@@ -21,6 +21,11 @@ race:
 	go test -race ./internal/ilp/ ./internal/experiments/ ./internal/covert/ ./internal/topo/... ./internal/plan/ ./internal/obs/ -timeout 1800s
 	go test -race -run 'TestSolveCancel|TestMapMachineCancel' -count=1 ./internal/ilp/ . -timeout 300s
 
+# Solve and Enumerate against exhaustive enumeration beyond the seed
+# corpus (mirrors the fuzz step of the CI race job).
+fuzz:
+	go test -run XXX -fuzz FuzzSolveBruteForce -fuzztime 30s ./internal/ilp
+
 # Mirrors the lint jobs of .github/workflows/ci.yml: go vet, staticcheck
 # (skipped with a notice when the binary is absent — install it with
 # go install honnef.co/go/tools/cmd/staticcheck@2024.1.1) and the repo's
@@ -37,7 +42,7 @@ lint:
 	go run ./cmd/coremaplint ./...
 
 # Everything the CI workflow runs, in one local invocation.
-ci: all race smoke lint
+ci: all race fuzz smoke lint
 
 # The CI smoke job: the full quick reproduction must exit 0 (this
 # includes plancompare, the adaptive-planner acceptance gate, and the

@@ -17,9 +17,7 @@ import (
 // leaf within microseconds (the incumbent), but proving optimality means
 // enumerating on the order of C(2n, n) leaves — far more than any test
 // deadline allows — so a cancelled solve deterministically holds an
-// incumbent without having finished. Every variable is interchangeable,
-// so the cancellation tests must solve with NoSymmetryBreak: the ordering
-// rows would (correctly) collapse the search to polynomial size.
+// incumbent without having finished.
 func wideModel(n int) *Model {
 	m := NewModel()
 	terms := make([]Term, 2*n)
@@ -37,7 +35,7 @@ func wideModel(n int) *Model {
 func TestSolvePreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sol, err := Solve(ctx, wideModel(13), Options{MaxNodes: 1 << 30, NoSymmetryBreak: true})
+	sol, err := Solve(ctx, wideModel(13), Options{MaxNodes: 1 << 30})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
@@ -54,7 +52,7 @@ func TestSolveCancelReturnsIncumbent(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	sol, err := Solve(ctx, model, Options{MaxNodes: 1 << 30, Workers: 2, NoSymmetryBreak: true})
+	sol, err := Solve(ctx, model, Options{MaxNodes: 1 << 30, Workers: 2})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatalf("solve of the wide model finished within 30ms (%d nodes); enlarge the model", sol.Nodes)
@@ -87,7 +85,7 @@ func TestSolveCancelNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		_, err := Solve(ctx, wideModel(13), Options{MaxNodes: 1 << 30, Workers: 4, NoSymmetryBreak: true})
+		_, err := Solve(ctx, wideModel(13), Options{MaxNodes: 1 << 30, Workers: 4})
 		cancel()
 		if err != nil && !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("solve %d: unexpected error %v", i, err)

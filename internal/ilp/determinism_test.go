@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -202,27 +203,45 @@ func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSolveDeterministicNoPresolve re-runs the structured corpus without
-// the equality-merging presolve, which changes the variable space the
-// lexicographic tie-break ranges over but must not change determinism.
-func TestSolveDeterministicNoPresolve(t *testing.T) {
-	model := func() *Model { return placementModel(4, 3, 4) }
-	ref, err := Solve(context.Background(), model(), Options{Workers: 1, NoPresolve: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workerCounts[1:] {
-		sol, err := Solve(context.Background(), model(), Options{Workers: w, NoPresolve: true})
+// TestPooledStateIsolatedAcrossSolves: the worker free lists and
+// propagation scratch are per-solve state, so a burst of interleaved
+// parallel solves of different models must reproduce each model's
+// canonical values exactly — any stale pooled bound vector crossing a
+// solve would break the equality. The CI race job runs this under -race,
+// which additionally shakes out sharing of pooled buffers between
+// workers.
+func TestPooledStateIsolatedAcrossSolves(t *testing.T) {
+	models := corpus()
+	ref := make(map[string]*Solution)
+	for _, cm := range models {
+		sol, err := Solve(context.Background(), cm.build(), Options{Workers: 1})
 		if err != nil {
-			t.Fatal(err)
+			continue // infeasible corpus entries are exercised below anyway
 		}
-		if sol.Objective != ref.Objective {
-			t.Errorf("workers=%d objective %d, want %d", w, sol.Objective, ref.Objective)
-		}
-		for i := range sol.Values {
-			if sol.Values[i] != ref.Values[i] {
-				t.Errorf("workers=%d disagrees at var %d: %d vs %d", w, i, ref.Values[i], sol.Values[i])
-				break
+		ref[cm.name] = sol
+	}
+	for round := 0; round < 3; round++ {
+		// Reverse order on odd rounds so each solve follows a different
+		// predecessor's pooled state.
+		for i := range models {
+			cm := models[i]
+			if round%2 == 1 {
+				cm = models[len(models)-1-i]
+			}
+			sol, err := Solve(context.Background(), cm.build(), Options{Workers: 4})
+			want, ok := ref[cm.name]
+			if !ok {
+				if err == nil {
+					t.Fatalf("%s became feasible mid-test", cm.name)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("round %d %s: %v", round, cm.name, err)
+			}
+			if !reflect.DeepEqual(sol.Values, want.Values) {
+				t.Fatalf("round %d %s: values drifted across pooled solves:\n%v\n%v",
+					round, cm.name, sol.Values, want.Values)
 			}
 		}
 	}

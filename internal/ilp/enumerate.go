@@ -126,9 +126,9 @@ func Enumerate(ctx context.Context, m *Model, opts EnumOptions) (res *EnumResult
 		}
 	}
 
-	// No presolve and no symmetry breaking: both are solution-preserving
-	// only up to representatives, and enumeration must see every member
-	// of the projected feasible set, not one per equivalence class.
+	// The same propagate-and-branch machinery as Solve, minus the
+	// objective cut and the incumbent: nothing here may prune a feasible
+	// member of the projected set, so every one of them is reached.
 	s := &solver{m: m}
 	s.build(order)
 

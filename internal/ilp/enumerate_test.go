@@ -187,6 +187,24 @@ func TestEnumerateCompletionPrunesInfeasibleProjection(t *testing.T) {
 	if !res.Complete || !reflect.DeepEqual(res.Solutions, want) {
 		t.Fatalf("solutions = %+v, want %v", res, want)
 	}
+
+	// Here propagation cannot see it: with y=1, three pairwise-exclusive
+	// binaries must sum to 2, which every interval still allows, so only
+	// branching over the binaries rules y=1 out.
+	m = NewModel()
+	y := m.NewBinary("y")
+	bs := []Var{m.NewBinary("a"), m.NewBinary("b"), m.NewBinary("c")}
+	for i := range bs {
+		m.AddLE("excl", []Term{T(1, bs[i]), T(1, bs[(i+1)%3])}, 1)
+	}
+	m.AddGE("need", []Term{T(1, bs[0]), T(1, bs[1]), T(1, bs[2]), T(-2, y)}, 0)
+	res, err = Enumerate(context.Background(), m, EnumOptions{Project: []Var{y}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int64{{0}}; !res.Complete || !reflect.DeepEqual(res.Solutions, want) {
+		t.Fatalf("solutions = %+v, want %v", res, want)
+	}
 }
 
 func TestEnumerateInfeasibleModel(t *testing.T) {

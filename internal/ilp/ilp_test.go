@@ -243,36 +243,6 @@ func TestCheckFeasible(t *testing.T) {
 	}
 }
 
-// bruteForce finds the optimum of a small model by exhaustive enumeration.
-func bruteForce(m *Model) (best []int64, bestObj int64, found bool) {
-	n := len(m.lo)
-	vals := make([]int64, n)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == n {
-			if CheckFeasible(m, vals) != nil {
-				return
-			}
-			var z int64
-			for _, t := range m.obj {
-				z += t.Coef * vals[t.Var]
-			}
-			if !found || z < bestObj {
-				best = append([]int64(nil), vals...)
-				bestObj = z
-				found = true
-			}
-			return
-		}
-		for v := m.lo[i]; v <= m.hi[i]; v++ {
-			vals[i] = v
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	return best, bestObj, found
-}
-
 // TestSolverMatchesBruteForce cross-validates the solver against
 // exhaustive enumeration on random small models.
 func TestSolverMatchesBruteForce(t *testing.T) {

@@ -66,11 +66,6 @@ type engine struct {
 	bestObj int64   // guarded by mu
 	// incumbents counts accepted incumbent updates; guarded by mu.
 	incumbents int64
-	// seeded records that the incumbent was warm-started before the
-	// search; symBreaks is the number of symmetry-ordering rows added.
-	// Both are set before run and read after the pool joins.
-	seeded    bool
-	symBreaks int64
 
 	// workerNodes[w] counts the frames worker w processed; each slot is
 	// written only by its owning worker, and read after the pool joins.
@@ -263,25 +258,6 @@ func (e *engine) runSubtree(task frame, sc *propScratch, fl *pool.FreeList[int64
 		fl.Put(f.hi)
 	}
 	return visited
-}
-
-// seed installs a pre-verified feasible assignment as the starting
-// incumbent. Called before any worker starts, so the lock is
-// uncontended — it is taken anyway to keep the best/bestObj invariant
-// machine-checkable. The seed is either in the cold search's optimal
-// set (in which case the lexicographic offer rule still selects the
-// canonical optimum) or worse (in which case it is displaced by the
-// first better incumbent), so the returned Solution.Values of a
-// completed search is unchanged — the seed only prunes worse subtrees
-// from node one.
-func (e *engine) seed(vals []int64, z int64) {
-	e.mu.Lock()
-	e.best, e.bestObj = vals, z
-	e.seeded = true
-	e.mu.Unlock()
-	if e.s.objIdx >= 0 {
-		e.bound.Store(z)
-	}
 }
 
 // offer proposes a fully assigned feasible leaf as the incumbent. The

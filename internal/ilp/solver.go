@@ -35,15 +35,6 @@ type Options struct {
 	// column variables here: once those are fixed, everything else is
 	// decided by propagation or cheap follow-up branching.
 	BranchOrder []Var
-	// NoPresolve disables the equality-merging presolve (mainly for
-	// tests and ablation benchmarks). It implies NoReduce.
-	NoPresolve bool
-	// NoReduce disables the presolve extensions — duplicate-constraint
-	// merging, root interval bound-tightening and implied-constraint
-	// elimination — while keeping the equality merge. Solution.Values is
-	// byte-identical either way (see the determinism corpus); the switch
-	// exists for ablation and regression testing.
-	NoReduce bool
 	// Workers sets the number of branch-and-bound workers pulling subtree
 	// tasks from a shared deque (0 = runtime.GOMAXPROCS). Results are
 	// independent of the worker count: ties between equal-objective
@@ -52,22 +43,6 @@ type Options struct {
 	// Solution.Values at any Workers setting. Only Solution.Nodes (and,
 	// for budget-truncated searches, the incumbent) may vary.
 	Workers int
-	// WarmStart, when non-nil, is a candidate assignment of every model
-	// variable used to seed the incumbent (and its pruning bound) before
-	// the search starts. The seed is verified with CheckFeasible and
-	// silently ignored when infeasible or when its length does not match
-	// the model, so callers may pass best-effort guesses. Seeding never
-	// changes Solution.Values of a completed search: the bound admits
-	// equal-objective solutions and the lexicographic tie-break still
-	// selects the canonical optimum — a warm solve only prunes
-	// worse-than-seed subtrees earlier (pinned by the determinism corpus).
-	WarmStart []int64
-	// NoWarmStart ignores WarmStart (ablation and regression testing).
-	NoWarmStart bool
-	// NoSymmetryBreak disables the solver-side interchangeable-variable
-	// ordering pass (see symmetry.go). Solution.Values is byte-identical
-	// either way; the switch exists for ablation.
-	NoSymmetryBreak bool
 }
 
 // DefaultMaxNodes is the search budget used when Options.MaxNodes is 0.
@@ -95,46 +70,12 @@ func Solve(ctx context.Context, m *Model, opts Options) (sol *Solution, err erro
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	target := m
-	branchOrder := opts.BranchOrder
-	var pre *presolved
-	if !opts.NoPresolve {
-		pre = presolve(m)
-		if !pre.feasible {
-			return nil, ErrInfeasible
-		}
-		if !opts.NoReduce && !reduce(pre.model) {
-			return nil, ErrInfeasible
-		}
-		target = pre.model
-		branchOrder = pre.mapBranchOrder(opts.BranchOrder)
-	}
+	s := &solver{m: m}
+	s.build(opts.BranchOrder)
 
-	var symBreaks int
-	if pre != nil && !opts.NoSymmetryBreak {
-		// Only the presolved copy is ever mutated; with NoPresolve the
-		// target is the caller's model, so the pass is skipped.
-		symBreaks = breakSymmetries(target)
-	}
-
-	s := &solver{m: target}
-	s.build(branchOrder)
-
-	lo := append([]int64(nil), target.lo...)
-	hi := append([]int64(nil), target.hi...)
+	lo := append([]int64(nil), m.lo...)
+	hi := append([]int64(nil), m.hi...)
 	e := newEngine(s, workers, maxNodes)
-	e.symBreaks = int64(symBreaks)
-	if !opts.NoWarmStart && len(opts.WarmStart) == len(m.lo) &&
-		CheckFeasible(m, opts.WarmStart) == nil {
-		seed := append([]int64(nil), opts.WarmStart...)
-		if pre != nil {
-			// A feasible assignment is constant across each merged
-			// equivalence class, so projecting through repVar and the
-			// reduce-tightened bounds keeps it feasible for the target.
-			seed = pre.compress(seed)
-		}
-		e.seed(seed, s.objective(seed))
-	}
 
 	// A watcher turns context expiry into the engine's interrupt flag,
 	// which every worker polls per node and which wakes blocked deque
@@ -154,7 +95,7 @@ func Solve(ctx context.Context, m *Model, opts Options) (sol *Solution, err erro
 	close(stop)
 	<-watcher
 
-	e.record(obs.RegistryFrom(ctx), m, target, span)
+	e.record(obs.RegistryFrom(ctx), span)
 	obs.RegistryFrom(ctx).Histogram("ilp/solve_us").
 		Observe(clock.Now().Sub(solveStart).Microseconds())
 	interrupted := e.interrupted.Load()
@@ -172,12 +113,8 @@ func Solve(ctx context.Context, m *Model, opts Options) (sol *Solution, err erro
 		}
 		return nil, ErrInfeasible
 	}
-	values := best
-	if pre != nil {
-		values = pre.expand(values)
-	}
 	sol = &Solution{
-		Values:    values,
+		Values:    best,
 		Objective: bestObj,
 		Optimal:   !e.aborted.Load(),
 		Nodes:     int(e.nodes.Load()),
@@ -191,11 +128,11 @@ func Solve(ctx context.Context, m *Model, opts Options) (sol *Solution, err erro
 }
 
 // record publishes the finished search's statistics: counters for nodes,
-// prunes, incumbent updates and presolve reductions, the per-worker node
-// histogram, and the node/worker attributes of the solve span. Safe (and
-// a near no-op) with a nil registry. Called after the worker pool has
-// joined, so the engine state is quiescent.
-func (e *engine) record(reg *obs.Registry, orig, target *Model, span *obs.Span) {
+// prunes and incumbent updates, the per-worker node histogram, and the
+// node/worker attributes of the solve span. Safe (and a near no-op) with
+// a nil registry. Called after the worker pool has joined, so the engine
+// state is quiescent.
+func (e *engine) record(reg *obs.Registry, span *obs.Span) {
 	nodes := e.nodes.Load()
 	span.SetAttr("nodes", nodes).SetAttr("workers", int64(e.workers))
 	if reg == nil {
@@ -208,18 +145,6 @@ func (e *engine) record(reg *obs.Registry, orig, target *Model, span *obs.Span) 
 	reg.Counter("ilp/nodes").Add(nodes)
 	reg.Counter("ilp/pruned").Add(e.pruned.Load())
 	reg.Counter("ilp/incumbents").Add(incumbents)
-	if d := int64(orig.NumVars() - target.NumVars()); d > 0 {
-		reg.Counter("ilp/presolve/vars_removed").Add(d)
-	}
-	if d := int64(orig.NumConstraints() - target.NumConstraints()); d > 0 {
-		reg.Counter("ilp/presolve/cons_removed").Add(d)
-	}
-	if e.seeded {
-		reg.Counter("ilp/incumbent_seeded").Inc()
-	}
-	if e.symBreaks > 0 {
-		reg.Counter("ilp/symmetry_breaks").Add(e.symBreaks)
-	}
 	h := reg.Histogram("ilp/worker_nodes")
 	for _, n := range e.workerNodes {
 		h.Observe(n)

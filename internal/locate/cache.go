@@ -2,7 +2,6 @@ package locate
 
 import (
 	"context"
-	"sync"
 
 	"coremap/internal/cmerr"
 	"coremap/internal/memo"
@@ -20,26 +19,8 @@ import (
 // The cache is safe for concurrent use and single-flight: when N survey
 // goroutines miss on the same fingerprint at once, exactly one solves and
 // the rest wait for its result (counted as coalesced in Stats).
-// In addition to exact-hit memoization, the cache keeps a warm-start
-// index of solved placements keyed by their canonical observation record
-// sets. A miss whose observation multiset is a superset of a solved
-// entry's (same grid, same reconstruction options) seeds the ILP
-// incumbent from that entry's placement — extending a survey with more
-// experiments re-proves optimality quickly instead of searching cold.
-// Seeding cannot change the resulting map (see ilp.Options.WarmStart), so
-// the index is a pure accelerator.
 type Cache struct {
 	g *memo.Group
-
-	mu   sync.Mutex
-	warm []warmEntry // guarded by mu
-}
-
-// warmEntry is one solved placement in the warm-start index.
-type warmEntry struct {
-	header string
-	recs   []string // sorted canonical observation records
-	pos    []mesh.Coord
 }
 
 // NewCache returns an empty reconstruction cache. Entries are never
@@ -72,16 +53,14 @@ func (c *Cache) Register(reg *obs.Registry) error {
 // entry is forgotten and the best-effort incumbent (when one exists) is
 // handed only to the caller that ran the computation.
 func (c *Cache) reconstruct(ctx context.Context, in Input, opts Options) (*Map, error) {
-	header, recs := canonicalInput(in, opts)
-	key := digest(header, recs)
+	key := Fingerprint(in, opts)
 	var partial *Map
 	v, err := c.g.Do(key, func() (any, error) {
-		m, err := reconstruct(ctx, in, opts, c.findWarmStart(string(header), recs, opts))
+		m, err := reconstruct(ctx, in, opts)
 		if err != nil {
 			partial = m
 			return nil, err
 		}
-		c.remember(string(header), recs, m)
 		return m, nil
 	})
 	if err != nil {
@@ -91,63 +70,6 @@ func (c *Cache) reconstruct(ctx context.Context, in Input, opts Options) (*Map, 
 		return partial, err
 	}
 	return v.(*Map).clone(), nil
-}
-
-// findWarmStart returns the placement of the solved entry with the most
-// observations whose record multiset is contained in recs (same header),
-// or nil when none qualifies. The exact-match memo has already missed
-// when this runs, so any hit here is a strict subset in practice.
-func (c *Cache) findWarmStart(header string, recs [][]byte, opts Options) []mesh.Coord {
-	if opts.NoWarmStart {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	best := -1
-	for i := range c.warm {
-		e := &c.warm[i]
-		if e.header != header || len(e.recs) > len(recs) {
-			continue
-		}
-		if best >= 0 && len(e.recs) <= len(c.warm[best].recs) {
-			continue
-		}
-		if multisetContained(e.recs, recs) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return append([]mesh.Coord(nil), c.warm[best].pos...)
-}
-
-// remember adds a solved placement to the warm-start index.
-func (c *Cache) remember(header string, recs [][]byte, m *Map) {
-	e := warmEntry{header: header, recs: make([]string, len(recs)),
-		pos: append([]mesh.Coord(nil), m.Pos...)}
-	for i, r := range recs {
-		e.recs[i] = string(r)
-	}
-	c.mu.Lock()
-	c.warm = append(c.warm, e)
-	c.mu.Unlock()
-}
-
-// multisetContained reports whether sorted multiset sub is contained in
-// sorted multiset super, element by element.
-func multisetContained(sub []string, super [][]byte) bool {
-	j := 0
-	for _, s := range sub {
-		for j < len(super) && string(super[j]) < s {
-			j++
-		}
-		if j == len(super) || string(super[j]) != s {
-			return false
-		}
-		j++
-	}
-	return true
 }
 
 // clone returns a deep copy of the map.

@@ -115,8 +115,8 @@ func TestFingerprintObservationOrderInvariant(t *testing.T) {
 // TestReconstructObservationOrderInvariant: the map itself — not just the
 // fingerprint — must be invariant under observation reordering, otherwise
 // the sorted fingerprint would serve one ordering's result for another.
-// (This leans on presolve electing canonical class representatives; see
-// ilp/presolve.go.)
+// (This leans on newBuilder declaring the position variables before any
+// per-observation variable; see its comment.)
 func TestReconstructObservationOrderInvariant(t *testing.T) {
 	// An unanchored 4×4 subset has a genuine mirror tie, which is exactly
 	// where ordering sensitivity would surface.
@@ -195,7 +195,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 			return m, Options{}
 		},
 		"paperBounds": func() (Input, Options) { return in, Options{PaperExactBounds: true} },
-		"noPrune":     func() (Input, Options) { return in, Options{NoPrune: true} },
 		"maxNodes":    func() (Input, Options) { return in, Options{MaxNodes: 12345} },
 		"sepRounds":   func() (Input, Options) { return in, Options{MaxSeparationRounds: 3} },
 	}

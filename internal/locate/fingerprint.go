@@ -1,6 +1,7 @@
 package locate
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"sort"
@@ -22,45 +23,40 @@ import (
 //     coordinates, so the fingerprint does not depend on IMC numbering or
 //     on unreferenced IMCPositions entries;
 //   - only the Options fields that can change the reconstruction
-//     participate (PaperExactBounds, NoPrune, MaxNodes,
-//     MaxSeparationRounds). Workers is excluded: the parallel solver
-//     guarantees byte-identical Solution.Values at any worker count.
+//     participate (PaperExactBounds, MaxNodes, MaxSeparationRounds).
+//     Workers is excluded: the parallel solver guarantees byte-identical
+//     Solution.Values at any worker count.
 //
 // fingerprintVersion is baked into the digest; bump it whenever the
 // encoding or the reconstruction semantics change so stale processes
 // cannot alias old entries. Version 2 added the topology-backend
 // discriminator (Input.Backend) to the header, so entries can never
-// alias across interconnect substrates.
-const fingerprintVersion = 2
+// alias across interconnect substrates. Version 3 dropped the NoPrune
+// option from the header: the dominance-pruned emitter is the only one.
+const fingerprintVersion = 3
 
-// canonicalInput splits a problem into its canonical header (topology
-// backend and grid dimensions plus the Options fields that can change
-// the reconstruction)
-// and its sorted, self-contained observation records. The cache's
-// superset index compares problems componentwise: same header, record
-// multiset inclusion. Options.NoWarmStart is excluded like Workers — the
-// reconstructed map is identical either way.
-func canonicalInput(in Input, opts Options) (header []byte, recs [][]byte) {
-	u := func(v int64) {
-		header = binary.AppendVarint(header, v)
-	}
+// Fingerprint returns the canonical content digest of a reconstruction
+// problem: a header of the topology backend, the grid dimensions and the
+// Options fields that can change the reconstruction, followed by the
+// sorted, self-contained observation records. Reconstruct must have
+// validated in first (anchored observations index into IMCPositions).
+func Fingerprint(in Input, opts Options) memo.Key {
+	var buf []byte
+	u := func(v int64) { buf = binary.AppendVarint(buf, v) }
 	u(fingerprintVersion)
 	u(int64(in.Backend))
 	u(int64(in.NumCHA))
 	u(int64(in.Rows))
 	u(int64(in.Cols))
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
+	if opts.PaperExactBounds {
+		u(1)
+	} else {
+		u(0)
 	}
-	u(b2i(opts.PaperExactBounds))
-	u(b2i(opts.NoPrune))
 	u(int64(opts.MaxNodes))
 	u(int64(opts.MaxSeparationRounds))
 
-	recs = make([][]byte, 0, len(in.Observations))
+	recs := make([][]byte, 0, len(in.Observations))
 	for _, o := range in.Observations {
 		var r []byte
 		ru := func(v int64) { r = binary.AppendVarint(r, v) }
@@ -82,38 +78,11 @@ func canonicalInput(in Input, opts Options) (header []byte, recs [][]byte) {
 		}
 		recs = append(recs, r)
 	}
-	sort.Slice(recs, func(i, j int) bool { return lessBytes(recs[i], recs[j]) })
-	return header, recs
-}
-
-// digest folds a canonical header and record set into the cache key.
-func digest(header []byte, recs [][]byte) memo.Key {
-	buf := append([]byte(nil), header...)
-	buf = binary.AppendVarint(buf, int64(len(recs)))
+	sort.Slice(recs, func(i, j int) bool { return bytes.Compare(recs[i], recs[j]) < 0 })
+	u(int64(len(recs)))
 	for _, r := range recs {
-		buf = binary.AppendVarint(buf, int64(len(r)))
+		u(int64(len(r)))
 		buf = append(buf, r...)
 	}
 	return sha256.Sum256(buf)
-}
-
-// Fingerprint returns the canonical content digest of a reconstruction
-// problem. Reconstruct must have validated in first (anchored
-// observations index into IMCPositions).
-func Fingerprint(in Input, opts Options) memo.Key {
-	header, recs := canonicalInput(in, opts)
-	return digest(header, recs)
-}
-
-func lessBytes(a, b []byte) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

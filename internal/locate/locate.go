@@ -83,18 +83,6 @@ type Options struct {
 	// dimension-order-routing form. The strict form is the default; both
 	// must admit the true map.
 	PaperExactBounds bool
-	// NoPrune disables the observation-dominance pruner (see prune.go)
-	// and emits the raw per-observation constraint system. The
-	// reconstructed map is identical either way (TestPruneInvariant);
-	// the switch exists for ablation and regression testing.
-	NoPrune bool
-	// NoWarmStart disables ILP incumbent seeding: both the cache's
-	// superset-index lookup (a cached placement for a subset of the
-	// observations seeds the new solve) and the ilp.Options.WarmStart
-	// plumbing. The reconstructed map is identical either way — seeding
-	// only prunes worse subtrees earlier — so the switch exists for
-	// ablation and regression testing, and is excluded from Fingerprint.
-	NoWarmStart bool
 	// Cache, when non-nil, memoizes reconstructions by the canonical
 	// content fingerprint of the input (see Fingerprint). Survey loops
 	// share one Cache across instances: machines with the same
@@ -143,18 +131,6 @@ type builder struct {
 	// Sprintf's vararg boxing was the largest allocation source of model
 	// construction.
 	lbl []byte
-	// dirs, oh{R,C} and ind{R,C} record the auxiliary variables as they
-	// are created, so warmAssignment can derive a full model assignment
-	// from a known placement without re-deriving variable layout.
-	dirs       []pathDir
-	ohR, ohC   [][]ilp.Var
-	indR, indC []ilp.Var
-}
-
-// pathDir is one horizontal path's direction-nullifier pair.
-type pathDir struct {
-	ne, nw ilp.Var
-	obs    probe.Observation
 }
 
 // nameIdx formats prefix+itoa(i), e.g. "R3".
@@ -192,6 +168,12 @@ func (b *builder) pathLabel(p, src, dst int, kind string, k int) string {
 	return string(buf)
 }
 
+// newBuilder declares every R/C position variable before any
+// per-observation variable (anchors, direction nullifiers, one-hots,
+// separation binaries), so the positions form the prefix of the solver's
+// lexicographic tie-break: among equal-objective optima, Map.Pos is the
+// lexicographically smallest placement whatever order the observation
+// rows were emitted in.
 func newBuilder(in Input) *builder {
 	b := &builder{m: ilp.NewModel(), in: in, anchors: make(map[mesh.Coord][2]ilp.Var)}
 	b.r = make([]ilp.Var, in.NumCHA)
@@ -220,7 +202,10 @@ func (b *builder) srcVars(o probe.Observation) (ilp.Var, ilp.Var) {
 	return rv, cv
 }
 
-// addObservation encodes one traffic path's constraints.
+// addObservation encodes one traffic path's constraints as measured, one
+// row set per observer. Reconstruct emits the dominance-pruned system
+// instead (addPruned); this raw form is the reference TestPruneInvariant
+// checks the pruner against.
 func (b *builder) addObservation(p int, o probe.Observation, paperBounds bool) {
 	e := o.DstCHA
 	srcR, srcC := b.srcVars(o)
@@ -246,7 +231,6 @@ func (b *builder) addObservation(p int, o probe.Observation, paperBounds bool) {
 	}
 	ne := b.m.NewBinary(b.nameIdx("NE", p))
 	nw := b.m.NewBinary(b.nameIdx("NW", p))
-	b.dirs = append(b.dirs, pathDir{ne: ne, nw: nw, obs: o})
 	b.m.AddEq(label("dir", 0), []ilp.Term{ilp.T(1, ne), ilp.T(1, nw)}, 1)
 	for _, k := range o.Horz {
 		// Horizontal alignment with the sink row.
@@ -282,7 +266,7 @@ func (b *builder) addObjective() {
 
 	// The model copies term rows on AddEq/AddLE, so one scratch row per
 	// shape is reused across every tile and index below.
-	addDim := func(dim string, vars []ilp.Var, size int, ohOut *[][]ilp.Var, indOut *[]ilp.Var) {
+	addDim := func(dim string, vars []ilp.Var, size int) {
 		// One-hot per tile.
 		oh := make([][]ilp.Var, in.NumCHA)
 		ohName, onehotName, channelName := "OH"+dim, "onehot-"+dim, "channel-"+dim
@@ -303,11 +287,9 @@ func (b *builder) addObjective() {
 			b.m.AddEq(b.nameIdx(channelName, i), channel, 0)
 		}
 		// Occupancy indicators and objective weights.
-		inds := make([]ilp.Var, size)
 		row := make([]ilp.Term, 0, in.NumCHA+1)
 		for r := 0; r < size; r++ {
 			ind := b.m.NewBinary(b.nameIdx(indName, r))
-			inds[r] = ind
 			// ind ≤ Σ occ: ind - Σ occ ≤ 0.
 			row = append(row[:0], ilp.T(1, ind))
 			for i := 0; i < in.NumCHA; i++ {
@@ -323,71 +305,10 @@ func (b *builder) addObjective() {
 			b.m.AddLE(b.nameIdx(indHiName, r), row, 0)
 			obj = append(obj, ilp.T(int64(r+1), ind))
 		}
-		*ohOut, *indOut = oh, inds
 	}
-	addDim("R", b.r, in.Rows, &b.ohR, &b.indR)
-	addDim("C", b.c, in.Cols, &b.ohC, &b.indC)
+	addDim("R", b.r, in.Rows)
+	addDim("C", b.c, in.Cols)
 	b.m.SetObjective(obj)
-}
-
-// warmAssignment derives a complete assignment of the built model from a
-// known placement, for seeding the ILP incumbent (ilp.Options.WarmStart):
-// position variables from the placement, anchors at their fixed
-// coordinates, direction nullifiers from the relative source/sink
-// columns, one-hots and occupancy indicators from the occupied cells. The
-// solver re-verifies the seed with CheckFeasible, so a placement the
-// current observations contradict (a superset seed from a pattern that
-// diverged) is simply discarded there. Returns nil when the placement
-// does not fit the grid.
-func (b *builder) warmAssignment(pos []mesh.Coord) []int64 {
-	in := b.in
-	if len(pos) != in.NumCHA {
-		return nil
-	}
-	for _, p := range pos {
-		if p.Row < 0 || p.Row >= in.Rows || p.Col < 0 || p.Col >= in.Cols {
-			return nil
-		}
-	}
-	vals := make([]int64, b.m.NumVars())
-	for i, p := range pos {
-		vals[b.r[i]] = int64(p.Row)
-		vals[b.c[i]] = int64(p.Col)
-	}
-	for at, v := range b.anchors {
-		vals[v[0]] = int64(at.Row)
-		vals[v[1]] = int64(at.Col)
-	}
-	for _, d := range b.dirs {
-		var srcCol int
-		if d.obs.Anchored {
-			srcCol = in.IMCPositions[d.obs.SrcIMC].Col
-		} else {
-			srcCol = pos[d.obs.SrcCHA].Col
-		}
-		// Eastbound paths keep the east rows active (NE = 0, NW = 1).
-		if pos[d.obs.DstCHA].Col > srcCol {
-			vals[d.nw] = 1
-		} else {
-			vals[d.ne] = 1
-		}
-	}
-	fill := func(oh [][]ilp.Var, ind []ilp.Var, at func(mesh.Coord) int) {
-		for i, p := range pos {
-			vals[oh[i][at(p)]] = 1
-		}
-		for r, v := range ind {
-			for _, p := range pos {
-				if at(p) == r {
-					vals[v] = 1
-					break
-				}
-			}
-		}
-	}
-	fill(b.ohR, b.indR, func(c mesh.Coord) int { return c.Row })
-	fill(b.ohC, b.indC, func(c mesh.Coord) int { return c.Col })
-	return vals
 }
 
 // addSeparation forces tiles i and j onto different cells via a four-way
@@ -437,21 +358,17 @@ func Reconstruct(ctx context.Context, in Input, opts Options) (*Map, error) {
 	if in.NumCHA <= 0 || in.Rows <= 0 || in.Cols <= 0 {
 		return nil, cmerr.New(cmerr.Permanent, "locate", "invalid input %d CHAs on %dx%d", in.NumCHA, in.Rows, in.Cols)
 	}
-	for _, o := range in.Observations {
-		if o.Anchored && (o.SrcIMC < 0 || o.SrcIMC >= len(in.IMCPositions)) {
-			return nil, cmerr.New(cmerr.Permanent, "locate",
-				"anchored observation references IMC %d but only %d positions are known",
-				o.SrcIMC, len(in.IMCPositions))
-		}
+	if err := checkIndices(in); err != nil {
+		return nil, err
 	}
 	if opts.Cache != nil {
 		return opts.Cache.reconstruct(ctx, in, opts)
 	}
-	return reconstruct(ctx, in, opts, nil)
+	return reconstruct(ctx, in, opts)
 }
 
-// rawConstraintCount is the number of observation constraints an
-// unpruned build (Options.NoPrune) would emit, mirroring addObservation:
+// rawConstraintCount is the number of observation constraints the raw
+// emitter would produce, mirroring addObservation:
 // three per vertical observer, a direction one-hot per horizontal path,
 // and three or five per horizontal observer. Reported next to the built
 // model's actual count so telemetry shows what dominance pruning saved.
@@ -473,11 +390,8 @@ func rawConstraintCount(in Input) int64 {
 	return n
 }
 
-// reconstruct is the uncached solve path; in has been validated. warmPos,
-// when non-nil, is a placement from the cache's superset index used to
-// seed the first solve's incumbent (discarded by the solver if the new
-// observations contradict it).
-func reconstruct(ctx context.Context, in Input, opts Options, warmPos []mesh.Coord) (result *Map, err error) {
+// reconstruct is the uncached solve path; in has been validated.
+func reconstruct(ctx context.Context, in Input, opts Options) (result *Map, err error) {
 	ctx, span := obs.Start(ctx, "locate/reconstruct")
 	reg := obs.RegistryFrom(ctx)
 	clock := obs.From(ctx).Clock()
@@ -493,6 +407,19 @@ func reconstruct(ctx context.Context, in Input, opts Options, warmPos []mesh.Coo
 	}()
 	reg.Counter("locate/reconstructs").Inc()
 
+	b := newBuilder(in)
+	b.addPruned(opts.PaperExactBounds)
+	reg.Counter("locate/constraints/raw").Add(rawConstraintCount(in))
+	reg.Counter("locate/constraints/built").Add(int64(b.m.NumConstraints()))
+	b.addObjective()
+	return b.solve(ctx, opts)
+}
+
+// solve runs the ILP over the built model, then adds pairwise separation
+// disjunctions for the tiles the solution collapses onto one cell and
+// re-solves, for at most Options.MaxSeparationRounds rounds.
+func (b *builder) solve(ctx context.Context, opts Options) (*Map, error) {
+	in := b.in
 	anchored := false
 	for _, o := range in.Observations {
 		if o.Anchored {
@@ -505,36 +432,12 @@ func reconstruct(ctx context.Context, in Input, opts Options, warmPos []mesh.Coo
 		maxRounds = 8
 	}
 
-	b := newBuilder(in)
-	if opts.NoPrune {
-		for p, o := range in.Observations {
-			b.addObservation(p, o, opts.PaperExactBounds)
-		}
-	} else {
-		b.addPruned(opts.PaperExactBounds)
-	}
-	reg.Counter("locate/constraints/raw").Add(rawConstraintCount(in))
-	reg.Counter("locate/constraints/built").Add(int64(b.m.NumConstraints()))
-	b.addObjective()
-
-	// The warm seed targets the round-0 model; separation rounds add
-	// variables, after which the stale (shorter) seed is ignored by the
-	// solver's length check.
-	var warm []int64
-	if warmPos != nil && !opts.NoWarmStart {
-		if warm = b.warmAssignment(warmPos); warm != nil {
-			reg.Counter("ilp/warmstart_hits").Inc()
-		}
-	}
-
-	result = &Map{Rows: in.Rows, Cols: in.Cols, Anchored: anchored}
+	result := &Map{Rows: in.Rows, Cols: in.Cols, Anchored: anchored}
 	for round := 0; ; round++ {
 		sol, err := ilp.Solve(ctx, b.m, ilp.Options{
 			MaxNodes:    opts.MaxNodes,
 			BranchOrder: b.branchOrder(),
 			Workers:     opts.Workers,
-			WarmStart:   warm,
-			NoWarmStart: opts.NoWarmStart,
 		})
 		if errors.Is(err, ilp.ErrInfeasible) {
 			return nil, ErrUnsatisfiable

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"coremap/internal/cmerr"
 	"coremap/internal/mesh"
 	"coremap/internal/probe"
 )
@@ -231,6 +232,29 @@ func TestReconstructRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Reconstruct(context.Background(), Input{NumCHA: 2, Rows: 0, Cols: 2}, Options{}); err == nil {
 		t.Error("zero rows accepted")
+	}
+
+	// Every CHA index an observation carries must lie in [0, NumCHA);
+	// the emitters index by them, so a stray one used to panic. The
+	// check runs before the cache is consulted.
+	for name, o := range map[string]probe.Observation{
+		"sink":       {SrcCHA: 0, DstCHA: 7, Up: []int{1}},
+		"source":     {SrcCHA: -1, DstCHA: 1, Up: []int{1}},
+		"up":         {SrcCHA: 0, DstCHA: 1, Up: []int{2}},
+		"down":       {SrcCHA: 0, DstCHA: 1, Down: []int{-1}},
+		"horz":       {SrcCHA: 0, DstCHA: 1, Horz: []int{1, 5}},
+		"anchor-imc": {SrcCHA: -1, DstCHA: 1, Anchored: true, SrcIMC: 0, Up: []int{1}},
+	} {
+		in := Input{NumCHA: 2, Rows: 3, Cols: 3, Observations: []probe.Observation{o}}
+		for _, opts := range []Options{{}, {Cache: NewCache()}} {
+			_, err := Reconstruct(context.Background(), in, opts)
+			if !cmerr.IsPermanent(err) || errors.Is(err, ErrUnsatisfiable) {
+				t.Errorf("%s (cache=%v): err = %v, want a Permanent input error", name, opts.Cache != nil, err)
+			}
+		}
+		if err := Validate(in, make([]mesh.Coord, 2)); !cmerr.IsPermanent(err) {
+			t.Errorf("%s: Validate err = %v, want a Permanent error", name, err)
+		}
 	}
 }
 

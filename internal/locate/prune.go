@@ -220,7 +220,7 @@ func sortFixes(s []varFix) {
 // addPruned emits the dominance-reduced constraint system: the plan's
 // vertical/alignment constraints once each, then the per-path horizontal
 // boxes (which keep their own direction guards).
-func (b *builder) addPruned(paperBounds bool) *prunePlan {
+func (b *builder) addPruned(paperBounds bool) {
 	pl := newPrunePlan(b.in)
 	for _, p := range pl.colEq {
 		b.m.AddEq(fmt.Sprintf("col C%d=C%d", p[0], p[1]),
@@ -246,7 +246,6 @@ func (b *builder) addPruned(paperBounds bool) *prunePlan {
 	for p, o := range b.in.Observations {
 		b.addHorzPruned(p, o, paperBounds)
 	}
-	return pl
 }
 
 // addHorzPruned emits one path's horizontal bounding boxes. Alignment
@@ -265,7 +264,6 @@ func (b *builder) addHorzPruned(p int, o probe.Observation, paperBounds bool) {
 	}
 	ne := b.m.NewBinary(b.nameIdx("NE", p))
 	nw := b.m.NewBinary(b.nameIdx("NW", p))
-	b.dirs = append(b.dirs, pathDir{ne: ne, nw: nw, obs: o})
 	b.m.AddEq(label("dir", 0), []ilp.Term{ilp.T(1, ne), ilp.T(1, nw)}, 1)
 
 	srcGap, dstGap := int64(1), int64(1)

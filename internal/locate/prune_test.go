@@ -33,6 +33,22 @@ func measuredInput(t *testing.T, m *machine.Machine) Input {
 	}
 }
 
+// reconstructRaw solves in from the raw per-observation constraint system
+// (addObservation), the reference the dominance pruner is checked against.
+func reconstructRaw(t *testing.T, in Input) *Map {
+	t.Helper()
+	b := newBuilder(in)
+	for p, o := range in.Observations {
+		b.addObservation(p, o, false)
+	}
+	b.addObjective()
+	m, err := b.solve(context.Background(), Options{Workers: 1})
+	if err != nil {
+		t.Fatalf("unpruned: %v", err)
+	}
+	return m
+}
+
 // TestPruneInvariant is the correctness pin of the dominance pruner: over
 // probe-measured inputs of every SKU, the pruned and unpruned constraint
 // systems must yield byte-identical tile positions.
@@ -55,10 +71,7 @@ func TestPruneInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s pattern %d: pruned: %v", tc.sku.Name, tc.idx, err)
 		}
-		unpruned, err := Reconstruct(context.Background(), in, Options{NoPrune: true, Workers: 1})
-		if err != nil {
-			t.Fatalf("%s pattern %d: unpruned: %v", tc.sku.Name, tc.idx, err)
-		}
+		unpruned := reconstructRaw(t, in)
 		if !reflect.DeepEqual(pruned.Pos, unpruned.Pos) {
 			t.Errorf("%s pattern %d: pruned and unpruned maps differ\npruned:   %v\nunpruned: %v",
 				tc.sku.Name, tc.idx, pruned.Pos, unpruned.Pos)
@@ -101,10 +114,7 @@ func TestPruneInvariantSyntheticSubsets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: pruned: %v", trial, err)
 		}
-		unpruned, err := Reconstruct(context.Background(), in, Options{NoPrune: true, Workers: 1})
-		if err != nil {
-			t.Fatalf("trial %d: unpruned: %v", trial, err)
-		}
+		unpruned := reconstructRaw(t, in)
 		if !reflect.DeepEqual(pruned.Pos, unpruned.Pos) {
 			t.Fatalf("trial %d: pruned and unpruned maps differ", trial)
 		}

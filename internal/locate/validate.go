@@ -19,31 +19,51 @@ func Validate(in Input, pos []mesh.Coord) error {
 	if len(pos) != in.NumCHA {
 		return cmerr.New(cmerr.Permanent, "locate", "placement has %d tiles, expected %d", len(pos), in.NumCHA)
 	}
-	at := func(cha int) (mesh.Coord, error) {
-		if cha < 0 || cha >= len(pos) {
-			return mesh.Coord{}, cmerr.New(cmerr.Permanent, "locate", "observation references CHA %d", cha)
-		}
-		return pos[cha], nil
+	if err := checkIndices(in); err != nil {
+		return err
 	}
 	for i, o := range in.Observations {
 		var src mesh.Coord
 		if o.Anchored {
-			if o.SrcIMC < 0 || o.SrcIMC >= len(in.IMCPositions) {
-				return cmerr.New(cmerr.Permanent, "locate", "observation %d references unknown IMC %d", i, o.SrcIMC)
-			}
 			src = in.IMCPositions[o.SrcIMC]
 		} else {
-			var err error
-			if src, err = at(o.SrcCHA); err != nil {
-				return err
-			}
+			src = pos[o.SrcCHA]
 		}
-		dst, err := at(o.DstCHA)
-		if err != nil {
-			return err
-		}
-		if err := validatePath(o, src, dst, pos); err != nil {
+		if err := validatePath(o, src, pos[o.DstCHA], pos); err != nil {
 			return fmt.Errorf("locate: observation %d (%d→%d): %w", i, o.SrcCHA, o.DstCHA, err)
+		}
+	}
+	return nil
+}
+
+// checkIndices rejects an observation that names a CHA outside
+// [0, NumCHA) — its unanchored source, its sink or any observer — or an
+// anchored source IMC without a known position, so the emitters and
+// Validate can index by them freely.
+func checkIndices(in Input) error {
+	bad := func(i int, role string, k int) error {
+		return cmerr.New(cmerr.Permanent, "locate",
+			"observation %d: %s CHA %d outside [0,%d)", i, role, k, in.NumCHA)
+	}
+	for i, o := range in.Observations {
+		if o.Anchored {
+			if o.SrcIMC < 0 || o.SrcIMC >= len(in.IMCPositions) {
+				return cmerr.New(cmerr.Permanent, "locate",
+					"observation %d: anchored to IMC %d but only %d IMC positions are known",
+					i, o.SrcIMC, len(in.IMCPositions))
+			}
+		} else if o.SrcCHA < 0 || o.SrcCHA >= in.NumCHA {
+			return bad(i, "source", o.SrcCHA)
+		}
+		if o.DstCHA < 0 || o.DstCHA >= in.NumCHA {
+			return bad(i, "sink", o.DstCHA)
+		}
+		for _, list := range [...][]int{o.Up, o.Down, o.Horz} {
+			for _, k := range list {
+				if k < 0 || k >= in.NumCHA {
+					return bad(i, "observer", k)
+				}
+			}
 		}
 	}
 	return nil
