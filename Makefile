@@ -21,10 +21,12 @@ race:
 	go test -race ./internal/ilp/ ./internal/experiments/ ./internal/covert/ ./internal/topo/... ./internal/plan/ ./internal/obs/ -timeout 1800s
 	go test -race -run 'TestSolveCancel|TestMapMachineCancel' -count=1 ./internal/ilp/ . -timeout 300s
 
-# Solve and Enumerate against exhaustive enumeration beyond the seed
-# corpus (mirrors the fuzz step of the CI race job).
+# Solve and Enumerate against exhaustive enumeration, and the resumable
+# Enumerator against fresh enumeration, beyond the seed corpora (mirrors
+# the fuzz steps of the CI race job).
 fuzz:
 	go test -run XXX -fuzz FuzzSolveBruteForce -fuzztime 30s ./internal/ilp
+	go test -run XXX -fuzz FuzzEnumerateResume -fuzztime 30s ./internal/ilp
 
 # Mirrors the lint jobs of .github/workflows/ci.yml: go vet, staticcheck
 # (skipped with a notice when the binary is absent — install it with

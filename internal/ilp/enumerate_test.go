@@ -289,3 +289,105 @@ func TestEnumerateMatchesSolveOptimum(t *testing.T) {
 		t.Fatalf("Solve optimum %v missing from enumeration %v", sol.Values, res.Solutions)
 	}
 }
+
+func TestEnumeratorResumesUnderAppendedRows(t *testing.T) {
+	// a, b ∈ [0,3] with a cap of 3. Each stage appends a row and resumes;
+	// the answer must match a fresh enumeration of the same rows, and the
+	// projection that overran the cap in one Run must still count in the
+	// next.
+	m := NewModel()
+	a := m.NewVar("a", 0, 3)
+	b := m.NewVar("b", 0, 3)
+	vars := []Var{a, b}
+	e, err := NewEnumerator(m, EnumOptions{Project: vars, Cap: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewModel()
+	fresh.NewVar("a", 0, 3)
+	fresh.NewVar("b", 0, 3)
+	for i, stage := range []struct {
+		row      func(*Model)
+		want     [][]int64
+		complete bool
+	}{
+		{func(*Model) {}, [][]int64{{0, 0}, {0, 1}, {0, 2}}, false},
+		{func(m *Model) { m.AddGE("a", []Term{T(1, a)}, 1) }, [][]int64{{1, 0}, {1, 1}, {1, 2}}, false},
+		{func(m *Model) { m.AddGE("b", []Term{T(1, b)}, 3) }, [][]int64{{1, 3}, {2, 3}, {3, 3}}, true},
+	} {
+		stage.row(m)
+		stage.row(fresh)
+		res, err := e.Run(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Complete != stage.complete || !reflect.DeepEqual(res.Solutions, stage.want) {
+			t.Fatalf("stage %d: got %v (complete=%v), want %v (complete=%v)",
+				i, res.Solutions, res.Complete, stage.want, stage.complete)
+		}
+		ref, err := Enumerate(context.Background(), fresh, EnumOptions{Project: vars, Cap: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.Complete != res.Complete || !reflect.DeepEqual(ref.Solutions, res.Solutions) {
+			t.Fatalf("stage %d: resumed %v, fresh %v", i, res.Solutions, ref.Solutions)
+		}
+	}
+}
+
+func TestEnumeratorBudgetIsPerRun(t *testing.T) {
+	// Runs of 7 nodes each must add up to the one-shot enumeration: the
+	// same solutions, and the same total node count.
+	build := func() (*Model, []Var) {
+		m := NewModel()
+		var vars []Var
+		for i := 0; i < 3; i++ {
+			vars = append(vars, m.NewVar("v", 0, 2))
+		}
+		m.AddLE("sum", []Term{T(1, vars[0]), T(1, vars[1]), T(1, vars[2])}, 3)
+		return m, vars
+	}
+	m1, v1 := build()
+	whole, err := Enumerate(context.Background(), m1, EnumOptions{Project: v1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, v2 := build()
+	e, err := NewEnumerator(m2, EnumOptions{Project: v2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := 0
+	for runs := 1; ; runs++ {
+		res, err := e.Run(context.Background(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Nodes > 7 {
+			t.Fatalf("run %d processed %d nodes, budget 7", runs, res.Nodes)
+		}
+		nodes += res.Nodes
+		if res.Complete {
+			if !reflect.DeepEqual(res.Solutions, whole.Solutions) || nodes != whole.Nodes {
+				t.Fatalf("resumed: %d solutions in %d nodes; one shot: %d in %d",
+					len(res.Solutions), nodes, len(whole.Solutions), whole.Nodes)
+			}
+			return
+		}
+		if runs > whole.Nodes {
+			t.Fatal("resumed enumeration never completes")
+		}
+	}
+}
+
+func TestEnumeratorRejectsNewVariables(t *testing.T) {
+	m, vars := enumModel2x2()
+	e, err := NewEnumerator(m, EnumOptions{Project: vars})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.NewVar("z", 0, 1)
+	if _, err := e.Run(context.Background(), 0); err == nil || cmerr.ClassOf(err) != cmerr.Permanent {
+		t.Fatalf("a variable added between runs should be a Permanent error, got %v", err)
+	}
+}

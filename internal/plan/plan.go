@@ -14,8 +14,9 @@
 // NextBatch / Observe / Fail; this package owns the placement bookkeeping:
 //
 //   - a lean binary-free ILP over the row/column position variables whose
-//     bounded enumeration (ilp.Enumerate) materializes the surviving
-//     placement set once ambiguity drops under Options.AmbiguityCap;
+//     bounded enumeration (one resumable ilp.Enumerator per survey)
+//     materializes the surviving placement set once ambiguity drops
+//     under Options.AmbiguityCap;
 //   - an exact observation predictor — the topology backend's routing
 //     model (Options.Predictor, defaulting to the mesh backend's
 //     Y-then-X dimension-order meshroute.Predictor) — used to partition
@@ -50,6 +51,7 @@ import (
 	"coremap/internal/cmerr"
 	"coremap/internal/ilp"
 	"coremap/internal/mesh"
+	"coremap/internal/obs"
 	"coremap/internal/topo"
 	"coremap/internal/topo/meshroute"
 )
@@ -134,9 +136,11 @@ type Options struct {
 	// BatchSize is the number of experiments emitted per scored round
 	// (0 selects DefaultBatchSize). Seeding rounds ignore it.
 	BatchSize int
-	// MaxNodes bounds each enumeration's search nodes (0 selects
-	// DefaultMaxNodes). A budget hit postpones materialization to the
-	// next round; it never aborts the survey.
+	// MaxNodes caps the search nodes one materialization attempt may add
+	// to the survey's enumeration (0 selects DefaultMaxNodes): attempts
+	// resume one search, and each is allowed a budget that starts small
+	// and doubles up to MaxNodes. A budget hit postpones materialization
+	// to the next round; it never aborts the survey.
 	MaxNodes int
 	// PaperExactBounds must match the locate.Options.PaperExactBounds
 	// the reconstruction will use, so the planner's consistency check
@@ -158,7 +162,7 @@ const (
 	DefaultMaxNodes     = 1_000_000
 )
 
-// initialNodeBudget is the first enumeration attempt's search-node
+// initialNodeBudget is the first materialization attempt's search-node
 // allowance; see Planner.nodeBudget.
 const initialNodeBudget = 10_000
 
@@ -182,7 +186,9 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	// Rounds is the number of batches emitted.
 	Rounds int
-	// Enumerations counts ilp.Enumerate attempts (successful or not).
+	// Enumerations counts materialization attempts (successful or not):
+	// Runs of the survey's one resumable enumeration, each adding at
+	// most its node budget to the search.
 	Enumerations int
 	// Measured and Failed count resolved candidates; Skipped is the
 	// number of candidates the survey never had to run.
@@ -225,20 +231,25 @@ type Planner struct {
 
 	rounds, enumerations   int
 	measuredCnt, failedCnt int
-	// nodeBudget is the search-node allowance of the next enumeration
-	// attempt. It starts small and doubles after every incomplete
-	// attempt (up to Options.MaxNodes), so the early rounds — when the
-	// few observations in hand still admit a vast placement space —
-	// fail fast instead of burning the full budget every NextBatch.
+	// nodeBudget is the number of search nodes the next materialization
+	// attempt may add to the resumed enumeration. It starts small and
+	// doubles after every incomplete attempt (up to Options.MaxNodes),
+	// so the early attempts — when the few observations in hand still
+	// admit a vast placement space — cannot wander deep into a tree the
+	// next observations will cut, while later ones get room to finish.
 	nodeBudget int
-	// nextAttemptObs is the observation count an incomplete enumeration
-	// demands before the next attempt: retrying with one more batch of
-	// evidence against a search space that just overran the budget is
-	// nearly always another overrun, so attempts wait for roughly half
-	// a pivot star of fresh observations.
-	nextAttemptObs int
 
-	// horzObs is rebuilt by buildModel for the Accept/Prune closures.
+	// model is the survey's one enumeration model, over the position
+	// variables project (decode with coordAt) branched in branch order;
+	// it holds the rows of observations[:modelObs]. enum is the one
+	// search over it, created at the first materialization and resumed
+	// by every later one.
+	model           distinctRows
+	modelObs        int
+	project, branch []ilp.Var
+	enum            *ilp.Enumerator
+	// horzObs holds the horizontal disjunctions of
+	// observations[:modelObs] for the Accept/Prune closures.
 	horzObs []horzObs
 
 	// scratch reused across rounds.
@@ -342,7 +353,7 @@ func (pl *Planner) NextBatch(ctx context.Context) ([]int, error) {
 	if pl.fallback {
 		return pl.issue(remaining), nil
 	}
-	if pl.survivors == nil && len(pl.observations) >= max(1, pl.nextAttemptObs) {
+	if pl.survivors == nil && len(pl.observations) > 0 {
 		if err := pl.materialize(ctx); err != nil {
 			return nil, err
 		}
@@ -413,12 +424,15 @@ func (pl *Planner) Fail(ci int) {
 }
 
 // materialize attempts to enumerate the placements consistent with the
-// observations so far. A complete enumeration installs the survivor set;
-// a cap or node-budget overrun leaves it nil (still too ambiguous — keep
-// seeding). An empty complete enumeration means the constraint system is
-// unsatisfiable (degraded measurements), which also degrades to the
-// exhaustive sweep.
-func (pl *Planner) materialize(ctx context.Context) error {
+// observations so far, resuming the survey's enumeration with the rows
+// of the observations that arrived since the last attempt. A complete
+// enumeration installs the survivor set; a cap or node-budget overrun
+// leaves it nil (still too ambiguous — keep seeding). An empty complete
+// enumeration means the constraint system is unsatisfiable (degraded
+// measurements), which also degrades to the exhaustive sweep.
+func (pl *Planner) materialize(ctx context.Context) (err error) {
+	ctx, span := obs.Start(ctx, "plan/materialize")
+	defer func() { span.End(err) }()
 	pl.enumerations++
 	if pl.nodeBudget == 0 {
 		pl.nodeBudget = initialNodeBudget
@@ -426,29 +440,35 @@ func (pl *Planner) materialize(ctx context.Context) error {
 	if pl.nodeBudget > pl.opts.MaxNodes {
 		pl.nodeBudget = pl.opts.MaxNodes
 	}
-	m, project, branch := pl.buildModel()
-	res, err := ilp.Enumerate(ctx, m, ilp.EnumOptions{
-		Project:     project,
-		BranchOrder: branch,
-		Cap:         pl.opts.AmbiguityCap,
-		MaxNodes:    pl.nodeBudget,
-		Accept:      pl.accept,
-		Prune:       pl.prune,
-	})
+	span.SetAttr("observations", int64(len(pl.observations))).SetAttr("budget", int64(pl.nodeBudget))
+	pl.extendModel()
+	if pl.enum == nil {
+		pl.enum, err = ilp.NewEnumerator(pl.model.m, ilp.EnumOptions{
+			Project:     pl.project,
+			BranchOrder: pl.branch,
+			Cap:         pl.opts.AmbiguityCap,
+			Accept:      pl.accept,
+			Prune:       pl.prune,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	res, err := pl.enum.Run(ctx, pl.nodeBudget)
 	if err != nil {
 		return err
 	}
+	span.SetAttr("nodes", int64(res.Nodes)).SetAttr("complete", b2i(res.Complete)).
+		SetAttr("solutions", int64(len(res.Solutions)))
 	if !res.Complete {
-		// Too ambiguous for this attempt's budget. Double it so a survey
-		// that needs many rounds of observations before enumeration can
-		// complete spends geometrically — the total effort across all
-		// failed attempts stays within ~2× the successful one — instead
-		// of the full MaxNodes every round, and wait for a meaningful
-		// amount of fresh evidence before trying again.
+		// Too ambiguous for this attempt's budget. Double it: the early
+		// attempts, against a model the next observations will cut
+		// hard, stay cheap, and a survey that needs many rounds before
+		// enumeration can complete still reaches a budget that lets it.
 		pl.nodeBudget *= 2
-		pl.nextAttemptObs = len(pl.observations) + max(pl.numCHA/2, 8)
 		return nil
 	}
+	pl.enum = nil // the search is exhausted; survivors are filtered from here on
 	if len(res.Solutions) == 0 {
 		pl.fallback = true
 		return nil
@@ -457,11 +477,18 @@ func (pl *Planner) materialize(ctx context.Context) error {
 	for i, proj := range res.Solutions {
 		p := make([]mesh.Coord, pl.numCHA)
 		for k := 0; k < pl.numCHA; k++ {
-			p[k] = mesh.Coord{Row: int(proj[2*k]), Col: int(proj[2*k+1])}
+			p[k] = coordAt(proj, k)
 		}
 		pl.survivors[i] = p
 	}
 	return nil
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // seedBatch picks measurements while the placement set is still too
