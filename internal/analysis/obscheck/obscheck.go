@@ -15,11 +15,10 @@
 //     Gauge, Histogram, GaugeFunc, CounterVec, GaugeVec, HistogramVec)
 //     must be at least two slash-separated lowercase segments of
 //     [a-z0-9_-] — "stage/metric". The stage segment is what the
-//     per-stage report, the flight recorder and coremaptop group by, so
-//     a malformed name silently falls out of every aggregation. A
-//     constant prefix in a concatenation ("probe/progress/"+stage) must
-//     itself be lowercase and already contain the stage separator;
-//     fully dynamic names are skipped.
+//     per-stage report groups by, so a malformed name silently falls
+//     out of its aggregation. A constant prefix in a concatenation
+//     ("probe/progress/"+stage) must itself be lowercase and already
+//     contain the stage separator; fully dynamic names are skipped.
 //
 //   - label rule: label keys passed to vec constructors must be string
 //     literals matching [a-z][a-z0-9_]* (the exposition-format key
@@ -353,7 +352,7 @@ func checkName(pass *analysis.Pass, call *ast.CallExpr) {
 	if name, ok := analysis.ConstString(pass, nameArg); ok {
 		if !validFullName(name) {
 			pass.Reportf(nameArg.Pos(),
-				"obs name %q is not stage/metric form: want two or more slash-separated lowercase segments of [a-z0-9_-], so per-stage reports and the flight recorder can group it", name)
+				"obs name %q is not stage/metric form: want two or more slash-separated lowercase segments of [a-z0-9_-], so the per-stage report can group it", name)
 		}
 		return
 	}

@@ -43,7 +43,7 @@ func leakySwitch(ctx context.Context, mode int) {
 }
 
 // Names without a stage segment cannot be grouped by the per-stage
-// report, the flight recorder, or coremaptop.
+// report.
 func badNames(ctx context.Context, reg *obs.Registry) {
 	_, span := obs.Start(ctx, "noslash") // want `obs name "noslash" is not stage/metric form`
 	defer span.End(nil)

@@ -19,9 +19,9 @@ import (
 //
 //	-trace <file>        write a JSONL span trace
 //	-metrics-out <file>  write the final metrics snapshot as JSON
-//	-debug-addr <addr>   serve /debug/vars, /metrics and /debug/pprof while running
+//	-debug-addr <addr>   serve /metrics and /debug/pprof while running
 //	-report              print a per-stage run report at exit
-//	-flight-dir <dir>    write a flight-recorder post-mortem on failure
+//	-flight-dir <dir>    write a flight dump (trace tail + failures) on failure
 //
 // The telemetry itself is always live once Start has run — stage counters
 // are a few atomic adds — and the flags only choose which surfaces are
@@ -51,7 +51,7 @@ func newTelemetryFlags(fs *flag.FlagSet) *Telemetry {
 	tf := &Telemetry{}
 	fs.StringVar(&tf.tracePath, "trace", "", "write a JSONL span trace to this file")
 	fs.StringVar(&tf.metricsPath, "metrics-out", "", "write the final metrics snapshot as JSON to this file")
-	fs.StringVar(&tf.debugAddr, "debug-addr", "", "serve /debug/vars, /metrics and /debug/pprof on this address (e.g. localhost:6060)")
+	fs.StringVar(&tf.debugAddr, "debug-addr", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
 	fs.StringVar(&tf.flightDir, "flight-dir", "", "write a flight-recorder dump (flight.jsonl) to this directory when a run degrades or fails")
 	fs.BoolVar(&tf.report, "report", false, "print a per-stage run report at exit")
 	return tf
@@ -78,7 +78,7 @@ func (tf *Telemetry) Start(ctx context.Context) (context.Context, error) {
 			return ctx, fmt.Errorf("telemetry: %w", err)
 		}
 		tf.dbg = dbg
-		fmt.Fprintf(os.Stderr, "telemetry: debug server on http://%s/debug/vars\n", dbg.Addr())
+		fmt.Fprintf(os.Stderr, "telemetry: debug server on http://%s/metrics\n", dbg.Addr())
 	}
 	return obs.With(ctx, tf.t), nil
 }

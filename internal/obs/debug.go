@@ -9,12 +9,11 @@ import (
 	"time"
 )
 
-// DebugServer serves the metrics registry as expvar-style JSON at
-// /debug/vars, as a Prometheus text exposition at /metrics, and the
-// standard pprof endpoints under /debug/pprof/, on its own mux (nothing
-// leaks into http.DefaultServeMux). It is opt-in via the -debug-addr
-// flag and meant for interactive inspection of a long run (cmd/coremaptop
-// scrapes /metrics), not production exposure.
+// DebugServer serves the metrics registry as a Prometheus text exposition
+// at /metrics and the standard pprof endpoints under /debug/pprof/, on its
+// own mux (nothing leaks into http.DefaultServeMux). It is opt-in via the
+// -debug-addr flag and meant for interactive inspection of a long run, not
+// production exposure.
 type DebugServer struct {
 	srv  *http.Server
 	ln   net.Listener
@@ -26,12 +25,6 @@ type DebugServer struct {
 // must Close it.
 func ServeDebug(addr string, reg *Registry) (*DebugServer, error) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := reg.Snapshot().WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", PromContentType)
 		if err := WriteProm(w, reg.Snapshot()); err != nil {

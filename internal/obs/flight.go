@@ -5,24 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 
 	"coremap/internal/cmerr"
 )
 
-// The flight recorder is the run's black box: a bounded per-stage ring of
-// the most recent finished spans and events. The main trace ring is
-// global, so a noisy stage (thousands of probe experiments) evicts the
-// few spans of the stage that actually failed long before a post-mortem
-// reads them; per-stage rings keep the last N records of *every* stage.
-// When a run ends Degraded or Interrupted, or any span ends with a
-// Permanent error, WriteFlight dumps the rings plus a metric snapshot and
-// the cmerr provenance of the triggering errors as JSONL.
-
-// DefaultFlightCapacity is the per-stage record retention when Config
-// leaves FlightCapacity zero.
-const DefaultFlightCapacity = 64
+// The flight dump is the run's black box: when a run ends Degraded or
+// Interrupted, or any span ends with a Permanent error, WriteFlight dumps
+// the cmerr provenance of the triggering errors, a metric snapshot and
+// the tail of the trace ring as JSONL. A noisy stage can evict a failed
+// span's record from the ring, but the triggers keep its name, class and
+// provenance regardless.
 
 // maxFlightTriggers bounds the recorded trigger list; the first failures
 // are the diagnostic ones.
@@ -96,76 +88,6 @@ type FlightHeader struct {
 	Triggers []FlightTrigger `json:"triggers,omitempty"`
 }
 
-type flightRing struct {
-	buf  []SpanRecord
-	head int // index of the oldest record once the ring has wrapped
-}
-
-func (r *flightRing) add(rec SpanRecord, capacity int) {
-	if len(r.buf) < capacity {
-		r.buf = append(r.buf, rec)
-		return
-	}
-	r.buf[r.head] = rec
-	r.head = (r.head + 1) % capacity
-}
-
-func (r *flightRing) records() []SpanRecord {
-	out := make([]SpanRecord, 0, len(r.buf))
-	out = append(out, r.buf[r.head:]...)
-	out = append(out, r.buf[:r.head]...)
-	return out
-}
-
-// flightRecorder retains the last capacity records per stage and the
-// first triggering errors.
-type flightRecorder struct {
-	capacity int // set at construction, immutable afterwards
-
-	mu       sync.Mutex
-	stages   map[string]*flightRing // guarded by mu
-	triggers []FlightTrigger        // guarded by mu
-}
-
-func newFlightRecorder(capacity int) *flightRecorder {
-	if capacity == 0 {
-		capacity = DefaultFlightCapacity
-	}
-	if capacity < 0 {
-		return nil
-	}
-	return &flightRecorder{capacity: capacity, stages: make(map[string]*flightRing)}
-}
-
-func (fr *flightRecorder) record(rec SpanRecord) {
-	if fr == nil {
-		return
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	stage := stageOf(rec.Name)
-	ring, ok := fr.stages[stage]
-	if !ok {
-		ring = &flightRing{}
-		fr.stages[stage] = ring
-	}
-	ring.add(rec, fr.capacity)
-	if flightTriggering(rec.Err) && len(fr.triggers) < maxFlightTriggers {
-		fr.triggers = append(fr.triggers, FlightTrigger{
-			Span: rec.ID, Name: rec.Name, Err: rec.Err, Info: rec.ErrInfo,
-		})
-	}
-}
-
-func (fr *flightRecorder) triggered() bool {
-	if fr == nil {
-		return false
-	}
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	return len(fr.triggers) > 0
-}
-
 // FlightTriggered reports whether any recorded span or event ended with a
 // Permanent, Degraded or Interrupted error — i.e. whether a post-mortem
 // dump would have something to explain. Nil-safe.
@@ -173,37 +95,30 @@ func (t *Telemetry) FlightTriggered() bool {
 	if t == nil {
 		return false
 	}
-	return t.fr.triggered()
+	t.tr.mu.Lock()
+	defer t.tr.mu.Unlock()
+	return len(t.tr.triggers) > 0
 }
 
 // WriteFlight writes the post-mortem JSONL dump: a FlightHeader line
 // (wrapped as {"flight": ...}) carrying runErr's class and provenance
 // plus the recorded triggers, one {"metrics": ...} snapshot line, then
-// one {"span": ...} line per retained record, grouped by stage in sorted
-// order and oldest-first within a stage. Nil-safe; with the flight
-// recorder disabled it writes a header and metrics only.
+// the trace ring's records oldest-first, each line byte-identical to the
+// one the trace sink wrote for it. Nil-safe.
 func (t *Telemetry) WriteFlight(w io.Writer, runErr error) error {
 	if t == nil {
 		return nil
 	}
-	hdr := FlightHeader{}
-	var stages []string
-	rings := make(map[string][]SpanRecord)
-	if t.fr != nil {
-		hdr.Capacity = t.fr.capacity
-		t.fr.mu.Lock()
-		hdr.Triggers = append([]FlightTrigger(nil), t.fr.triggers...)
-		stages = sortedKeys(t.fr.stages)
-		for _, stage := range stages {
-			rings[stage] = t.fr.stages[stage].records()
-		}
-		t.fr.mu.Unlock()
+	t.tr.mu.Lock()
+	hdr := FlightHeader{
+		Capacity: t.tr.capacity,
+		Triggers: append([]FlightTrigger(nil), t.tr.triggers...),
 	}
+	t.tr.mu.Unlock()
 	hdr.RunErr, hdr.Reason = errClass(runErr)
 	if hdr.Reason == nil && len(hdr.Triggers) > 0 {
 		hdr.Reason = hdr.Triggers[0].Info
 	}
-	sort.Strings(stages)
 
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(map[string]FlightHeader{"flight": hdr}); err != nil {
@@ -212,11 +127,9 @@ func (t *Telemetry) WriteFlight(w io.Writer, runErr error) error {
 	if err := enc.Encode(map[string]Snapshot{"metrics": t.Registry().Snapshot()}); err != nil {
 		return fmt.Errorf("obs: write flight metrics: %w", err)
 	}
-	for _, stage := range stages {
-		for _, rec := range rings[stage] {
-			if err := enc.Encode(map[string]SpanRecord{"span": rec}); err != nil {
-				return fmt.Errorf("obs: write flight span: %w", err)
-			}
+	for _, rec := range t.tr.spans() {
+		if err := writeRecord(w, rec); err != nil {
+			return fmt.Errorf("obs: write flight span: %w", err)
 		}
 	}
 	return nil

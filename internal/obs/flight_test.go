@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -66,15 +67,16 @@ func TestFlightRecorderAttributesFailure(t *testing.T) {
 	}
 }
 
-// TestFlightPerStageRetention is the reason the recorder exists: a noisy
-// stage must not evict the few records of the stage that failed.
+// TestFlightPerStageRetention: the dump's span lines are the trace ring's
+// tail, so a noisy stage evicts the failed span's record — but the
+// header's triggers still name it with its error class.
 func TestFlightPerStageRetention(t *testing.T) {
-	tel := New(Config{FlightCapacity: 4, TraceCapacity: 8})
+	tel := New(Config{TraceCapacity: 8})
 	ctx := With(context.Background(), tel)
 
 	_, s := Start(ctx, "ilp/solve")
 	s.End(fmt.Errorf("budget: %w", cmerr.Degraded))
-	// Flood a different stage well past both capacities.
+	// Flood a different stage well past the ring's capacity.
 	for i := 0; i < 100; i++ {
 		_, s := Start(ctx, fmt.Sprintf("probe/op-%d", i))
 		s.End(nil)
@@ -84,18 +86,72 @@ func TestFlightPerStageRetention(t *testing.T) {
 	if err := tel.WriteFlight(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	dump := buf.String()
-	if !strings.Contains(dump, `"ilp/solve"`) {
-		t.Fatal("noisy probe stage evicted the failed ilp span from the flight dump")
+	if err := ValidateFlight(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("flight dump fails its own schema: %v", err)
 	}
-	// The probe ring keeps exactly the last FlightCapacity records.
-	for _, name := range []string{"probe/op-96", "probe/op-97", "probe/op-98", "probe/op-99"} {
-		if !strings.Contains(dump, `"`+name+`"`) {
-			t.Fatalf("flight dump missing recent record %s", name)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	var first struct {
+		Flight FlightHeader `json:"flight"`
+	}
+	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
+		t.Fatal(err)
+	}
+	if first.Flight.Capacity != 8 {
+		t.Fatalf("header capacity = %d, want the trace ring's 8", first.Flight.Capacity)
+	}
+	trigs := first.Flight.Triggers
+	if len(trigs) != 1 || trigs[0].Name != "ilp/solve" || trigs[0].Err != "degraded" {
+		t.Fatalf("triggers = %+v, want the degraded ilp/solve", trigs)
+	}
+	// The ring holds exactly the last TraceCapacity records.
+	var names []string
+	for _, line := range lines[2:] {
+		var rec SpanRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
 		}
+		names = append(names, rec.Name)
 	}
-	if strings.Contains(dump, `"probe/op-95"`) {
-		t.Fatal("flight ring retained more than its capacity")
+	var want []string
+	for i := 92; i < 100; i++ {
+		want = append(want, fmt.Sprintf("probe/op-%d", i))
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("ring records = %v, want %v", names, want)
+	}
+}
+
+// TestFlightSpansMatchTrace: every span line of a flight dump is
+// byte-identical to a line the same run's trace sink wrote.
+func TestFlightSpansMatchTrace(t *testing.T) {
+	var sink bytes.Buffer
+	tel := New(Config{Clock: NewFakeClock(time.Unix(0, 0), time.Millisecond), TraceSink: &sink})
+	ctx := With(context.Background(), tel)
+	ctx, root := Start(ctx, "coremap/map-machine")
+	_, s := Start(ctx, "probe/run")
+	s.SetAttr("planned", 3).SetAttrStr("sku", "6354")
+	Event(ctx, "probe/experiment-failed",
+		cmerr.New(cmerr.Permanent, "probe", "stuck <cpu>").WithOp("rdmsr").OnCPU(2).AtCHA(1))
+	s.End(nil)
+	root.End(fmt.Errorf("budget: %w", cmerr.Degraded))
+
+	var dump bytes.Buffer
+	if err := tel.WriteFlight(&dump, nil); err != nil {
+		t.Fatal(err)
+	}
+	traced := make(map[string]bool)
+	for _, line := range strings.SplitAfter(sink.String(), "\n") {
+		traced[line] = true
+	}
+	spanLines := strings.SplitAfter(dump.String(), "\n")[2:]
+	spanLines = spanLines[:len(spanLines)-1] // the empty tail after the last newline
+	if len(spanLines) != 3 {
+		t.Fatalf("dump has %d span lines, want 3:\n%s", len(spanLines), dump.String())
+	}
+	for _, line := range spanLines {
+		if !traced[line] {
+			t.Errorf("flight span line not in the trace:\n%s", line)
+		}
 	}
 }
 

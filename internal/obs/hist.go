@@ -11,7 +11,7 @@ import (
 // is bounded by 1/histSubBuckets (12.5%) across the full int64 range with
 // a fixed, small bucket table. Bucket boundaries are a pure function of
 // the index — every histogram in every process buckets identically, which
-// is what makes snapshots mergeable across workers and byte-reproducible
+// is what makes snapshot deltas exact and snapshots byte-reproducible
 // under FakeClock.
 const (
 	histSubBits    = 3
@@ -167,48 +167,6 @@ func (s *HistogramSnapshot) finalize() {
 	s.P50 = s.Quantile(0.50)
 	s.P95 = s.Quantile(0.95)
 	s.P99 = s.Quantile(0.99)
-}
-
-// Merge returns the snapshot of the combined distribution. Because every
-// histogram shares one fixed bucket table, merging is exact bucket-wise
-// addition — associative and commutative — so per-worker histograms roll
-// up into fleet totals without approximation beyond the shared bucketing.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	m := HistogramSnapshot{
-		Count: s.Count + o.Count,
-		Sum:   s.Sum + o.Sum,
-	}
-	m.Buckets = mergeBuckets(s.Buckets, o.Buckets)
-	switch {
-	case s.Count == 0:
-		m.Min, m.Max = o.Min, o.Max
-	case o.Count == 0:
-		m.Min, m.Max = s.Min, s.Max
-	default:
-		m.Min = min(s.Min, o.Min)
-		m.Max = max(s.Max, o.Max)
-	}
-	m.finalize()
-	return m
-}
-
-func mergeBuckets(a, b []Bucket) []Bucket {
-	out := make([]Bucket, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i].Idx < b[j].Idx):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j].Idx < a[i].Idx:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, Bucket{Idx: a[i].Idx, UB: a[i].UB, N: a[i].N + b[j].N})
-			i, j = i+1, j+1
-		}
-	}
-	return out
 }
 
 // subHist returns the bucket-wise delta s minus earlier. Min and Max are

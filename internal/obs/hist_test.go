@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -42,42 +41,6 @@ func histFrom(obsv ...int64) HistogramSnapshot {
 		h.Observe(v)
 	}
 	return h.snapshot()
-}
-
-// TestHistogramMergeAssociative is the fleet roll-up guarantee: because
-// every histogram shares one fixed bucket table, Merge is exact bucket-wise
-// addition, so per-worker snapshots combine associatively and
-// commutatively — the roll-up order across workers cannot change the
-// result.
-func TestHistogramMergeAssociative(t *testing.T) {
-	a := histFrom(1, 2, 3, 900, 901)
-	b := histFrom(7, 7, 7, 1<<20)
-	c := histFrom(0, 5000, 123456789)
-
-	left := a.Merge(b).Merge(c)
-	right := a.Merge(b.Merge(c))
-	if !reflect.DeepEqual(left, right) {
-		t.Fatalf("merge not associative:\n(a+b)+c = %+v\na+(b+c) = %+v", left, right)
-	}
-	if !reflect.DeepEqual(a.Merge(b), b.Merge(a)) {
-		t.Fatal("merge not commutative")
-	}
-
-	all := histFrom(1, 2, 3, 900, 901, 7, 7, 7, 1<<20, 0, 5000, 123456789)
-	if !reflect.DeepEqual(left, all) {
-		t.Fatalf("merged snapshot differs from single-histogram snapshot:\nmerged = %+v\ndirect = %+v", left, all)
-	}
-}
-
-func TestHistogramMergeEmptyIdentity(t *testing.T) {
-	a := histFrom(10, 20, 30)
-	var empty HistogramSnapshot
-	if got := a.Merge(empty); !reflect.DeepEqual(got, a) {
-		t.Fatalf("a.Merge(empty) = %+v, want a = %+v", got, a)
-	}
-	if got := empty.Merge(a); !reflect.DeepEqual(got, a) {
-		t.Fatalf("empty.Merge(a) = %+v, want a = %+v", got, a)
-	}
 }
 
 func TestQuantileRelativeErrorBound(t *testing.T) {

@@ -42,11 +42,6 @@ type Config struct {
 	// object per line, in End order. Writes happen under the tracer lock,
 	// so the sink needs no synchronization of its own.
 	TraceSink io.Writer
-
-	// FlightCapacity bounds the flight recorder's per-stage span/event
-	// retention. Zero means DefaultFlightCapacity; negative disables the
-	// recorder entirely.
-	FlightCapacity int
 }
 
 // Telemetry bundles a metrics registry, a span tracer and a clock. It is
@@ -57,7 +52,6 @@ type Telemetry struct {
 	clock Clock
 	epoch time.Time
 	tr    tracer
-	fr    *flightRecorder
 }
 
 // New builds a Telemetry from cfg.
@@ -78,15 +72,7 @@ func New(cfg Config) *Telemetry {
 		clock: clock,
 		epoch: clock.Now(),
 		tr:    tracer{capacity: capacity, sink: cfg.TraceSink},
-		fr:    newFlightRecorder(cfg.FlightCapacity),
 	}
-}
-
-// record routes a finished span or event to the trace ring (and sink) and
-// the flight recorder.
-func (t *Telemetry) record(rec SpanRecord) {
-	t.tr.record(rec)
-	t.fr.record(rec)
 }
 
 // Registry returns the metrics registry; nil on a nil receiver.
@@ -268,13 +254,13 @@ func (s *Span) End(err error) {
 		Attrs:   s.attrs,
 	}
 	rec.Err, rec.ErrInfo = errClass(err)
-	s.t.record(rec)
+	s.t.tr.record(rec)
 }
 
 // Event records an instantaneous occurrence — typically a failure worth a
 // post-mortem, like a probe experiment being dropped — under the
 // Telemetry in ctx, parented to the current span. The event lands in the
-// trace and in the flight recorder; err (which may be nil) is classified
+// trace (and so in the flight dump); err (which may be nil) is classified
 // and its cmerr provenance captured exactly as for Span.End. No-op
 // without a Telemetry in ctx.
 func Event(ctx context.Context, name string, err error) {
@@ -294,21 +280,23 @@ func Event(ctx context.Context, name string, err error) {
 		StartUS: t.clock.Now().Sub(t.epoch).Microseconds(),
 	}
 	rec.Err, rec.ErrInfo = errClass(err)
-	t.record(rec)
+	t.tr.record(rec)
 }
 
 // tracer assigns span IDs and buffers finished spans. IDs are sequential
 // in Start order; the buffer is a ring holding the most recent capacity
-// records.
+// records. It also keeps the first maxFlightTriggers failures that arm
+// the flight dump, so their provenance outlives ring eviction.
 type tracer struct {
 	mu       sync.Mutex
-	lastID   int64        // guarded by mu
-	buf      []SpanRecord // guarded by mu
-	head     int          // index of the oldest record when the ring is full; guarded by mu
-	capacity int          // set at construction, immutable afterwards
-	dropped  int64        // guarded by mu
-	sink     io.Writer    // set at construction, immutable afterwards
-	sinkErr  error        // guarded by mu
+	lastID   int64           // guarded by mu
+	buf      []SpanRecord    // guarded by mu
+	head     int             // index of the oldest record when the ring is full; guarded by mu
+	capacity int             // set at construction, immutable afterwards
+	dropped  int64           // guarded by mu
+	triggers []FlightTrigger // guarded by mu
+	sink     io.Writer       // set at construction, immutable afterwards
+	sinkErr  error           // guarded by mu
 }
 
 func (tr *tracer) nextID() int64 {
@@ -332,16 +320,27 @@ func (tr *tracer) record(rec SpanRecord) {
 	} else {
 		tr.dropped++
 	}
+	if flightTriggering(rec.Err) && len(tr.triggers) < maxFlightTriggers {
+		tr.triggers = append(tr.triggers, FlightTrigger{
+			Span: rec.ID, Name: rec.Name, Err: rec.Err, Info: rec.ErrInfo,
+		})
+	}
 	if tr.sink != nil && tr.sinkErr == nil {
-		b, err := json.Marshal(rec)
-		if err == nil {
-			b = append(b, '\n')
-			_, err = tr.sink.Write(b)
-		}
-		if err != nil {
+		if err := writeRecord(tr.sink, rec); err != nil {
 			tr.sinkErr = fmt.Errorf("obs: trace sink: %w", err)
 		}
 	}
+}
+
+// writeRecord writes rec as one JSON line: the trace sink's format, and
+// the span lines of a flight dump.
+func writeRecord(w io.Writer, rec SpanRecord) error {
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }
 
 func (tr *tracer) spans() []SpanRecord {

@@ -377,6 +377,7 @@ func TestBuildReport(t *testing.T) {
 		{ID: 2, Parent: 1, Name: "probe/run", DurUS: 700},
 		{ID: 3, Parent: 2, Name: "probe/map-cores", DurUS: 300}, // nested same-stage: no extra duration
 		{ID: 4, Parent: 1, Name: "ilp/solve", DurUS: 200},
+		{ID: 5, Parent: 4, Name: "ilp/worker", DurUS: 150},
 	}
 	rows := BuildReport(r.Snapshot(), spans)
 
@@ -405,6 +406,24 @@ func TestBuildReport(t *testing.T) {
 	}
 	if p.Spans != 2 || p.Duration != 700*time.Microsecond {
 		t.Fatalf("probe spans/duration = %d/%v, want 2/700µs (no double count)", p.Spans, p.Duration)
+	}
+	// Self-times partition the root span: the stages sum to its duration.
+	var sum time.Duration
+	for _, row := range rows {
+		sum += row.Duration
+	}
+	if sum != time.Duration(spans[0].DurUS)*time.Microsecond {
+		t.Fatalf("stage durations sum to %v, want the root span's %dµs", sum, spans[0].DurUS)
+	}
+	// Concurrent children can outlast their parent; its self-time floors
+	// at zero rather than cancelling the children's time.
+	overlap := BuildReport(Snapshot{}, []SpanRecord{
+		{ID: 1, Name: "ilp/solve", DurUS: 100},
+		{ID: 2, Parent: 1, Name: "ilp/worker", DurUS: 80},
+		{ID: 3, Parent: 1, Name: "ilp/worker", DurUS: 80},
+	})
+	if got := overlap[0].Duration; got != 160*time.Microsecond {
+		t.Fatalf("overlapping workers: ilp duration %v, want 160µs", got)
 	}
 	if byStage["ilp"].Ops != 2048 {
 		t.Fatalf("ilp ops = %d, want 2048", byStage["ilp"].Ops)
@@ -438,7 +457,7 @@ func TestDebugServerCleanShutdown(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Get("http://" + d.Addr() + "/debug/vars")
+		resp, err := http.Get("http://" + d.Addr() + "/metrics")
 		if err != nil {
 			d.Close()
 			t.Fatal(err)
@@ -451,11 +470,21 @@ func TestDebugServerCleanShutdown(t *testing.T) {
 		}
 		if resp.StatusCode != http.StatusOK {
 			d.Close()
-			t.Fatalf("/debug/vars status %d", resp.StatusCode)
+			t.Fatalf("/metrics status %d", resp.StatusCode)
 		}
-		if err := ValidateMetrics(bytes.NewReader(body)); err != nil {
+		if err := ValidateProm(bytes.NewReader(body)); err != nil {
 			d.Close()
-			t.Fatalf("/debug/vars payload invalid: %v", err)
+			t.Fatalf("/metrics payload invalid: %v", err)
+		}
+		resp, err = http.Get("http://" + d.Addr() + "/debug/vars")
+		if err != nil {
+			d.Close()
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			d.Close()
+			t.Fatalf("/debug/vars status %d, want 404", resp.StatusCode)
 		}
 		if err := d.Close(); err != nil {
 			t.Fatal(err)

@@ -26,9 +26,9 @@ import (
 // PromContentType is the Content-Type of the /metrics endpoint.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// PromName mangles an obs metric name into a Prometheus metric name:
+// promName mangles an obs metric name into a Prometheus metric name:
 // every character outside [a-zA-Z0-9_] becomes '_'.
-func PromName(name string) string {
+func promName(name string) string {
 	b := []byte(name)
 	for i, c := range b {
 		switch {
@@ -70,7 +70,7 @@ func WriteProm(w io.Writer, snap Snapshot) error {
 	fams := make(map[string]*promFamily)
 	add := func(key, kind string, s promSample) {
 		base, labels := splitSeries(key)
-		name := PromName(base)
+		name := promName(base)
 		f, ok := fams[name]
 		if !ok {
 			f = &promFamily{name: name, kind: kind}

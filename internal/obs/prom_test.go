@@ -102,19 +102,19 @@ func TestPromRoundTrip(t *testing.T) {
 	// with the same value; histograms keep exact count/sum and buckets.
 	for key, v := range snap.Counters {
 		base, labels := splitSeries(key)
-		if got := parsed.Counters[PromName(base)+labels]; got != v {
+		if got := parsed.Counters[promName(base)+labels]; got != v {
 			t.Errorf("counter %q: parsed %d, want %d", key, got, v)
 		}
 	}
 	for key, v := range snap.Gauges {
 		base, labels := splitSeries(key)
-		if got := parsed.Gauges[PromName(base)+labels]; got != v {
+		if got := parsed.Gauges[promName(base)+labels]; got != v {
 			t.Errorf("gauge %q: parsed %d, want %d", key, got, v)
 		}
 	}
 	for key, h := range snap.Histograms {
 		base, labels := splitSeries(key)
-		ph, ok := parsed.Histograms[PromName(base)+labels]
+		ph, ok := parsed.Histograms[promName(base)+labels]
 		if !ok {
 			t.Errorf("histogram %q missing from parse", key)
 			continue
@@ -142,8 +142,8 @@ func TestPromName(t *testing.T) {
 		"9lives":                    "_lives",
 	}
 	for in, want := range cases {
-		if got := PromName(in); got != want {
-			t.Errorf("PromName(%q) = %q, want %q", in, got, want)
+		if got := promName(in); got != want {
+			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

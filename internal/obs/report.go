@@ -15,7 +15,7 @@ import (
 type StageRow struct {
 	Stage     string
 	Spans     int           // finished spans in the stage
-	Duration  time.Duration // sum over spans whose parent lies outside the stage
+	Duration  time.Duration // summed self-time of the stage's spans
 	Ops       int64         // stage-defining operation count (see opsOf)
 	Retries   int64         // <stage>/retries
 	CacheHits int64         // <stage>/cache/hits
@@ -64,9 +64,10 @@ func opsOf(stage string, snap Snapshot) int64 {
 
 // BuildReport rolls a metrics snapshot and a span buffer up into
 // per-stage rows, ordered by pipeline position. A stage appears if any
-// metric or span mentions it. Stage duration sums only spans whose
-// parent is outside the stage, so nested same-stage spans are not
-// double-counted.
+// metric or span mentions it. Stage duration sums the self-time of the
+// stage's spans: a span's duration minus its direct children's, floored
+// at zero (concurrent children can overlap their parent's wall time), so
+// the stage durations partition the run instead of nesting.
 func BuildReport(snap Snapshot, spans []SpanRecord) []StageRow {
 	stages := make(map[string]*StageRow)
 	row := func(stage string) *StageRow {
@@ -88,16 +89,15 @@ func BuildReport(snap Snapshot, spans []SpanRecord) []StageRow {
 		row(stageOf(name))
 	}
 
-	spanStage := make(map[int64]string, len(spans))
+	childUS := make(map[int64]int64, len(spans))
 	for _, s := range spans {
-		spanStage[s.ID] = stageOf(s.Name)
+		childUS[s.Parent] += s.DurUS
 	}
 	for _, s := range spans {
-		stage := stageOf(s.Name)
-		r := row(stage)
+		r := row(stageOf(s.Name))
 		r.Spans++
-		if parent, ok := spanStage[s.Parent]; !ok || parent != stage {
-			r.Duration += time.Duration(s.DurUS) * time.Microsecond
+		if self := s.DurUS - childUS[s.ID]; self > 0 {
+			r.Duration += time.Duration(self) * time.Microsecond
 		}
 	}
 

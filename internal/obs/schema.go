@@ -16,6 +16,12 @@ import (
 // times, and well-formed attributes. It is the schema check CI runs
 // against the artifacts a -quick experiments run emits.
 func ValidateTrace(r io.Reader) error {
+	return scanLines(r, "trace", validateTraceLine)
+}
+
+// scanLines hands every non-blank line of r, with its 1-based line
+// number, to fn.
+func scanLines(r io.Reader, what string, fn func(line int, raw []byte) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
@@ -25,21 +31,39 @@ func ValidateTrace(r io.Reader) error {
 		if len(raw) == 0 {
 			continue
 		}
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		var rec SpanRecord
-		if err := dec.Decode(&rec); err != nil {
-			return fmt.Errorf("obs: trace line %d: %w", line, err)
-		}
-		if dec.More() {
-			return cmerr.New(cmerr.Permanent, "obs", "trace line %d: trailing data after span object", line)
-		}
-		if err := validateSpan(rec); err != nil {
-			return fmt.Errorf("obs: trace line %d: %w", line, err)
+		if err := fn(line, raw); err != nil {
+			return err
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("obs: read trace: %w", err)
+		return fmt.Errorf("obs: read %s: %w", what, err)
+	}
+	return nil
+}
+
+// decodeLine strictly decodes one JSON line into v: no unknown fields,
+// no trailing data.
+func decodeLine(raw []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return cmerr.New(cmerr.Permanent, "obs", "trailing data after object")
+	}
+	return nil
+}
+
+// validateTraceLine checks one bare SpanRecord line, as the trace sink
+// writes it.
+func validateTraceLine(line int, raw []byte) error {
+	var rec SpanRecord
+	if err := decodeLine(raw, &rec); err != nil {
+		return fmt.Errorf("obs: trace line %d: %w", line, err)
+	}
+	if err := validateSpan(rec); err != nil {
+		return fmt.Errorf("obs: trace line %d: %w", line, err)
 	}
 	return nil
 }
@@ -160,66 +184,50 @@ func ValidateProm(r io.Reader) error {
 	return err
 }
 
-// ValidateFlight checks that r holds a well-formed flight-recorder dump:
-// a {"flight": header} first line, exactly one {"metrics": snapshot} line
-// whose snapshot passes ValidateMetrics' structural checks, and
-// {"span": record} lines that each pass the trace span checks. Trigger
-// entries must reference a span id and carry an error class.
+// ValidateFlight checks that r holds a well-formed flight dump: a
+// {"flight": header} first line whose triggers each reference a span id
+// and carry an error class, a {"metrics": snapshot} second line that
+// passes ValidateMetrics, then span lines that pass ValidateTrace.
 func ValidateFlight(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line, metricsLines := 0, 0
-	sawHeader := false
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		var rec struct {
-			Flight  *FlightHeader `json:"flight"`
-			Metrics *Snapshot     `json:"metrics"`
-			Span    *SpanRecord   `json:"span"`
-		}
-		if err := dec.Decode(&rec); err != nil {
-			return fmt.Errorf("obs: flight line %d: %w", line, err)
-		}
-		switch {
-		case rec.Flight != nil:
-			if sawHeader || line != 1 {
+	n := 0
+	err := scanLines(r, "flight dump", func(line int, raw []byte) error {
+		n++
+		switch n {
+		case 1:
+			var rec struct {
+				Flight *FlightHeader `json:"flight"`
+			}
+			if err := decodeLine(raw, &rec); err != nil {
+				return fmt.Errorf("obs: flight line %d: %w", line, err)
+			}
+			if rec.Flight == nil {
 				return cmerr.New(cmerr.Permanent, "obs", "flight line %d: header not first", line)
 			}
-			sawHeader = true
 			for i, tr := range rec.Flight.Triggers {
 				if tr.Span <= 0 || tr.Err == "" {
 					return cmerr.New(cmerr.Permanent, "obs", "flight: trigger %d malformed", i)
 				}
 			}
-		case rec.Metrics != nil:
-			metricsLines++
-			for _, name := range sortedKeys(rec.Metrics.Histograms) {
-				if err := validateHistogram(rec.Metrics.Histograms[name]); err != nil {
-					return cmerr.New(cmerr.Permanent, "obs", "flight: histogram %q: %v", name, err)
-				}
+		case 2:
+			var rec struct {
+				Metrics json.RawMessage `json:"metrics"`
 			}
-		case rec.Span != nil:
-			if err := validateSpan(*rec.Span); err != nil {
+			if err := decodeLine(raw, &rec); err != nil {
+				return fmt.Errorf("obs: flight line %d: %w", line, err)
+			}
+			if err := ValidateMetrics(bytes.NewReader(rec.Metrics)); err != nil {
 				return fmt.Errorf("obs: flight line %d: %w", line, err)
 			}
 		default:
-			return cmerr.New(cmerr.Permanent, "obs", "flight line %d: unknown record", line)
+			return validateTraceLine(line, raw)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("obs: read flight dump: %w", err)
-	}
-	if !sawHeader {
-		return cmerr.New(cmerr.Permanent, "obs", "flight: missing header line")
-	}
-	if metricsLines != 1 {
-		return cmerr.New(cmerr.Permanent, "obs", "flight: %d metrics lines, want 1", metricsLines)
+	if n < 2 {
+		return cmerr.New(cmerr.Permanent, "obs", "flight: %d header lines, want 2", n)
 	}
 	return nil
 }

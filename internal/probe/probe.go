@@ -1378,7 +1378,7 @@ func (p *Prober) runPlanned(ppin uint64, ro RunOptions) (*Result, error) {
 		}
 		// Round cost (experiments issued) and wall time distribution:
 		// the planner's value proposition is that later rounds shrink,
-		// and these two histograms are what coremaptop renders for it.
+		// and these two histograms show it.
 		roundCost.Observe(int64(len(batch)))
 		roundUS.Observe(p.clock.Now().Sub(roundStart).Microseconds())
 	}
@@ -1437,7 +1437,11 @@ func planObservation(o Observation) plan.Observation {
 // runStep1 is mapCoresToCHAs routed through the step-1 cache when one is
 // configured, returning the mapping together with its degradation record.
 func (p *Prober) runStep1() ([]int, []Failure, error) {
-	mapping, err := p.MapCoresToCHAs(p.ctx)
+	ctx := p.ctx
+	mapping, err := p.MapCoresToCHAs(ctx)
+	// MapCoresToCHAs bound its own span's context; restore the caller's so
+	// step-2 spans and events parent to it, not to the finished step 1.
+	p.bind(ctx)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -177,6 +177,58 @@ func TestTraceDeterministic(t *testing.T) {
 	}
 }
 
+// TestSpansNestInParents traces one map under a fake clock: every span
+// and event lies inside its parent's [start, start+dur] interval, no
+// planner or solver span hangs under the finished step-1 span, and the
+// report's stage self-times partition the root span.
+func TestSpansNestInParents(t *testing.T) {
+	tel := fakeClockTelemetry(&bytes.Buffer{})
+	mappedRun(t, tel)
+	if n := tel.Dropped(); n != 0 {
+		t.Fatalf("trace ring dropped %d records; the check needs the whole run", n)
+	}
+	spans := tel.Spans()
+	byID := make(map[int64]obs.SpanRecord, len(spans))
+	var root obs.SpanRecord
+	for _, s := range spans {
+		byID[s.ID] = s
+		if s.Name == "coremap/map-machine" {
+			root = s
+		}
+	}
+	planSpans := 0
+	for _, s := range spans {
+		if strings.HasPrefix(s.Name, "plan/") {
+			planSpans++
+		}
+		if s.Parent == 0 {
+			continue
+		}
+		p, ok := byID[s.Parent]
+		if !ok {
+			t.Errorf("%s (span %d): parent %d not in the trace", s.Name, s.ID, s.Parent)
+			continue
+		}
+		if s.StartUS < p.StartUS || s.StartUS+s.DurUS > p.StartUS+p.DurUS {
+			t.Errorf("%s [%d, %d] escapes its parent %s [%d, %d]",
+				s.Name, s.StartUS, s.StartUS+s.DurUS, p.Name, p.StartUS, p.StartUS+p.DurUS)
+		}
+		if p.Name == "probe/map-cores" && (strings.HasPrefix(s.Name, "plan/") || strings.HasPrefix(s.Name, "ilp/")) {
+			t.Errorf("%s is parented under the step-1 span probe/map-cores", s.Name)
+		}
+	}
+	if planSpans == 0 {
+		t.Fatal("run traced no plan/ spans; the planner parenting is unchecked")
+	}
+	var sum int64
+	for _, row := range obs.BuildReport(tel.Registry().Snapshot(), spans) {
+		sum += row.Duration.Microseconds()
+	}
+	if sum != root.DurUS {
+		t.Errorf("report stage durations sum to %dµs, want the root span's %dµs", sum, root.DurUS)
+	}
+}
+
 // reconcile checks the probe counter partition against the probe result.
 func reconcile(t *testing.T, snap obs.Snapshot, res *probe.Result) {
 	t.Helper()
@@ -336,16 +388,18 @@ func TestDegradedRunFlightDump(t *testing.T) {
 	}
 }
 
-// TestEmittedArtifactsValidate schema-checks trace and metrics files
-// produced by an external command run; CI's telemetry smoke step sets the
-// environment variables after running cmd/experiments with -trace and
-// -metrics-out. Skipped when the variables are unset.
+// TestEmittedArtifactsValidate schema-checks trace, metrics, exposition
+// and flight-dump files produced by an external command run; CI's smoke
+// steps set the environment variables after running the commands with
+// -trace, -metrics-out, -debug-addr and -flight-dir. Skipped when the
+// variables are unset.
 func TestEmittedArtifactsValidate(t *testing.T) {
 	tracePath := os.Getenv("COREMAP_TRACE_FILE")
 	metricsPath := os.Getenv("COREMAP_METRICS_FILE")
 	promPath := os.Getenv("COREMAP_PROM_FILE")
-	if tracePath == "" && metricsPath == "" && promPath == "" {
-		t.Skip("COREMAP_TRACE_FILE / COREMAP_METRICS_FILE / COREMAP_PROM_FILE not set")
+	flightPath := os.Getenv("COREMAP_FLIGHT_FILE")
+	if tracePath == "" && metricsPath == "" && promPath == "" && flightPath == "" {
+		t.Skip("COREMAP_TRACE_FILE / COREMAP_METRICS_FILE / COREMAP_PROM_FILE / COREMAP_FLIGHT_FILE not set")
 	}
 	if tracePath != "" {
 		f, err := os.Open(tracePath)
@@ -375,6 +429,16 @@ func TestEmittedArtifactsValidate(t *testing.T) {
 		defer f.Close()
 		if err := obs.ValidateProm(f); err != nil {
 			t.Errorf("%s fails exposition validation: %v", promPath, err)
+		}
+	}
+	if flightPath != "" {
+		f, err := os.Open(flightPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := obs.ValidateFlight(f); err != nil {
+			t.Errorf("%s fails flight-dump validation: %v", flightPath, err)
 		}
 	}
 }
