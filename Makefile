@@ -13,10 +13,11 @@ vet:
 test:
 	go test ./... -timeout 1800s
 
-# Race-check the concurrent parts of the tree: the parallel ILP solver,
-# the survey worker pools, the covert-channel harness, the topology
-# backends and the adaptive planner — plus the goroutine-leak check over
-# cancelled solves (mirrors the CI race job).
+# Race-check the concurrent parts of the tree: the survey worker pools,
+# the covert-channel harness, the topology backends, the adaptive planner
+# and the telemetry layer, plus the ILP package whose solver they all call
+# concurrently — and the goroutine-leak check over cancelled solves
+# (mirrors the CI race job).
 race:
 	go test -race ./internal/ilp/ ./internal/experiments/ ./internal/covert/ ./internal/topo/... ./internal/plan/ ./internal/obs/ -timeout 1800s
 	go test -race -run 'TestSolveCancel|TestMapMachineCancel' -count=1 ./internal/ilp/ . -timeout 300s

@@ -10,9 +10,7 @@ package coremap_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"coremap"
@@ -397,47 +395,6 @@ func BenchmarkILP_Reconstruct(b *testing.B) {
 			Observations: meas.Observations,
 		}, locate.Options{}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolveParallel compares the ILP reconstruction at 1 worker vs
-// all cores on the hardest SKU models (the 8259CL with its LLC-only-tile
-// fusing diversity, and the 40-tile Ice Lake 6354). The recovered map is
-// identical at every worker count — only the wall clock should move.
-func BenchmarkSolveParallel(b *testing.B) {
-	for _, sku := range []*machine.SKU{machine.SKU8259CL, machine.SKU6354} {
-		m := machine.Generate(sku, 0, machine.Config{Seed: 5})
-		p, err := probe.New(m, probe.Options{Seed: 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-		meas, err := p.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		in := locate.Input{
-			NumCHA:       meas.NumCHA,
-			Rows:         sku.Rows,
-			Cols:         sku.Cols,
-			Observations: meas.Observations,
-		}
-		counts := []int{1}
-		if n := runtime.GOMAXPROCS(0); n > 1 {
-			counts = append(counts, n)
-		}
-		for _, workers := range counts {
-			b.Run(fmt.Sprintf("%s/workers=%d", sku.Name, workers), func(b *testing.B) {
-				var nodes int
-				for i := 0; i < b.N; i++ {
-					mp, err := locate.Reconstruct(context.Background(), in, locate.Options{Workers: workers})
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodes = mp.Nodes
-				}
-				b.ReportMetric(float64(nodes), "nodes")
-			})
 		}
 	}
 }

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	coremap [-topology mesh|ring|noc] [-sku name] [-pattern n] [-seed n] [-workers n] [-timeout d] [-paper-faithful] [-check] [-json] [-nocache]
+//	coremap [-topology mesh|ring|noc] [-sku name] [-pattern n] [-seed n] [-timeout d] [-paper-faithful] [-check] [-json] [-nocache]
 //	        [-noplan] [-ambiguity-cap n]
 //	        [-trace file] [-metrics-out file] [-debug-addr addr] [-report]
 //
@@ -59,7 +59,6 @@ func main() {
 		paperFaithful = flag.Bool("paper-faithful", false, "use only the paper's core-pair experiments")
 		anchors       = flag.Bool("anchors", false, "add memory-anchored (IMC→core) experiments for an absolute map")
 		check         = flag.Bool("check", false, "score the map against simulator ground truth")
-		workers       = flag.Int("workers", 0, "ILP solver workers (0 = all cores); the map is identical at any setting")
 		asJSON        = flag.Bool("json", false, "emit the result as JSON")
 		noCache       = flag.Bool("nocache", false, "disable the in-process measurement/reconstruction caches")
 		noPlan        = flag.Bool("noplan", false, "survey every core pair exhaustively instead of planning adaptively")
@@ -97,7 +96,7 @@ func main() {
 	registry := loadRegistry(*registryPath)
 
 	popts := probe.Options{Seed: *seed}
-	lopts := locate.Options{Workers: *workers}
+	var lopts locate.Options
 	if *ambiguityCap > 0 && !*noPlan {
 		// A non-default cap needs explicit planner options; otherwise
 		// MapMachine derives them from the die geometry.

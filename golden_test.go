@@ -5,7 +5,9 @@ package coremap_test
 // testdata/mesh_golden.json were captured from the tree *before* the
 // topology-backend extraction (PR 7) across the determinism corpus —
 // catalog SKUs × survey seeds × ILP worker counts × planner on/off — and
-// every future change to the mesh path must reproduce them exactly.
+// every future change to the mesh path must reproduce them exactly. The
+// solver is single-threaded, so the workers=1 and workers=4 entries of a
+// (SKU, seed, planner) combination hold the same map, computed once.
 // Regenerate (only when the pipeline semantics intentionally change,
 // with a fingerprintVersion bump) with:
 //
@@ -20,10 +22,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"coremap"
-	"coremap/internal/locate"
 	"coremap/internal/machine"
 	"coremap/internal/mesh"
 	"coremap/internal/probe"
@@ -35,7 +37,7 @@ const goldenPath = "testdata/mesh_golden.json"
 
 // goldenMap is the serialized per-combo pipeline output. Every field the
 // map's identity depends on participates; solver effort (node counts)
-// deliberately does not, it may vary with worker count.
+// deliberately does not.
 type goldenMap struct {
 	OSToCHA  []int        `json:"os_to_cha"`
 	Pos      []mesh.Coord `json:"pos"`
@@ -43,46 +45,56 @@ type goldenMap struct {
 	Optimal  bool         `json:"optimal"`
 }
 
-// goldenCorpus enumerates the determinism corpus in a fixed order:
-// SKUs × seeds × worker counts × plan on/off.
-func goldenCorpus() (keys []string, run map[string]func(t testing.TB) goldenMap) {
+// goldenCorpus enumerates the determinism corpus keys in a fixed order:
+// SKUs × seeds × worker counts × plan on/off. Both worker-count keys of a
+// (SKU, seed, plan) combination share one run, which maps the instance on
+// its first call and returns that result to every later one.
+func goldenCorpus() (keys []string, run map[string]func() (goldenMap, error)) {
 	skus := []*machine.SKU{machine.SKU8124M, machine.SKU8259CL, machine.SKU6354}
 	seeds := []int64{3, 11}
 	workers := []int{1, 4}
 	plans := []bool{true, false}
 
-	run = make(map[string]func(t testing.TB) goldenMap)
+	run = make(map[string]func() (goldenMap, error))
+	combos := make(map[string]func() (goldenMap, error))
 	for _, sku := range skus {
 		for _, seed := range seeds {
 			for _, w := range workers {
 				for _, planned := range plans {
-					sku, seed, w, planned := sku, seed, w, planned
+					combo := fmt.Sprintf("%s/seed=%d/plan=%v", sku.Name, seed, planned)
+					if combos[combo] == nil {
+						combos[combo] = sync.OnceValues(func() (goldenMap, error) {
+							return goldenRun(sku, seed, planned)
+						})
+					}
 					key := fmt.Sprintf("%s/seed=%d/workers=%d/plan=%v", sku.Name, seed, w, planned)
 					keys = append(keys, key)
-					run[key] = func(t testing.TB) goldenMap {
-						m := machine.New(sku, sku.Pattern(int(seed)%3), machine.Config{Seed: seed})
-						die := coremap.DieInfo{Rows: sku.Rows, Cols: sku.Cols, IMC: sku.IMC}
-						res, err := coremap.MapMachine(context.Background(), m, die, coremap.Options{
-							Probe:         probe.Options{Seed: seed},
-							Locate:        locate.Options{Workers: w},
-							MemoryAnchors: true,
-							NoPlan:        !planned,
-						})
-						if err != nil {
-							t.Fatalf("%s: %v", key, err)
-						}
-						return goldenMap{
-							OSToCHA:  res.OSToCHA,
-							Pos:      res.Pos,
-							Anchored: res.Anchored,
-							Optimal:  res.Optimal,
-						}
-					}
+					run[key] = combos[combo]
 				}
 			}
 		}
 	}
 	return keys, run
+}
+
+// goldenRun maps one corpus instance.
+func goldenRun(sku *machine.SKU, seed int64, planned bool) (goldenMap, error) {
+	m := machine.New(sku, sku.Pattern(int(seed)%3), machine.Config{Seed: seed})
+	die := coremap.DieInfo{Rows: sku.Rows, Cols: sku.Cols, IMC: sku.IMC}
+	res, err := coremap.MapMachine(context.Background(), m, die, coremap.Options{
+		Probe:         probe.Options{Seed: seed},
+		MemoryAnchors: true,
+		NoPlan:        !planned,
+	})
+	if err != nil {
+		return goldenMap{}, err
+	}
+	return goldenMap{
+		OSToCHA:  res.OSToCHA,
+		Pos:      res.Pos,
+		Anchored: res.Anchored,
+		Optimal:  res.Optimal,
+	}, nil
 }
 
 func TestMeshGoldenMaps(t *testing.T) {
@@ -94,7 +106,11 @@ func TestMeshGoldenMaps(t *testing.T) {
 	if *updateGolden {
 		out := make(map[string]goldenMap, len(keys))
 		for _, key := range keys {
-			out[key] = run[key](t)
+			got, err := run[key]()
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			out[key] = got
 		}
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -130,10 +146,12 @@ func TestMeshGoldenMaps(t *testing.T) {
 	}
 
 	for _, key := range keys {
-		key := key
 		t.Run(key, func(t *testing.T) {
 			t.Parallel()
-			got := run[key](t)
+			got, err := run[key]()
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
 			if !reflect.DeepEqual(got, want[key]) {
 				t.Errorf("map diverged from pre-refactor golden\n got %+v\nwant %+v", got, want[key])
 			}

@@ -217,12 +217,12 @@ func (c Config) probeOptions(i int) probe.Options {
 	return o
 }
 
-// locateOptions builds the per-instance reconstruction options. Workers is
-// 1 because forEachInstance already fans out across instances — nested
-// parallelism would only oversubscribe the machine (and Workers does not
-// enter the cache fingerprint, so this choice never splits the cache).
+// locateOptions builds the per-instance reconstruction options: defaults
+// plus the shared reconstruction cache when caching is on. The parallelism
+// lives in forEachInstance, which fans out across instances; each solve
+// is single-threaded.
 func (c Config) locateOptions() locate.Options {
-	o := locate.Options{Workers: 1}
+	var o locate.Options
 	if c.Caches != nil {
 		o.Cache = c.Caches.Locate
 	}

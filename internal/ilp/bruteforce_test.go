@@ -133,8 +133,8 @@ func seedProjection(m *Model, seed int64) []Var {
 // FuzzSolveBruteForce checks Solve and Enumerate against exhaustive
 // enumeration of the variable domains. Solve must return the
 // lexicographically smallest optimum — or ErrInfeasible exactly when no
-// assignment is feasible — at every worker count, and Enumerate's
-// projected set must equal the brute-force feasible set's projection.
+// assignment is feasible — and Enumerate's projected set must equal the
+// brute-force feasible set's projection.
 // The seed corpus (seeds 1–12) runs under plain go test; go test -fuzz
 // explores further seeds.
 func FuzzSolveBruteForce(f *testing.F) {
@@ -157,7 +157,7 @@ func TestSolveDeterministicAcrossReduce(t *testing.T) {
 	for _, cm := range corpus() {
 		t.Run(cm.name, func(t *testing.T) {
 			want, wantObj, feasible := bruteForce(cm.build())
-			sol, err := Solve(context.Background(), cm.build(), Options{Workers: 1})
+			sol, err := Solve(context.Background(), cm.build(), Options{})
 			if !feasible {
 				if !errors.Is(err, ErrInfeasible) {
 					t.Fatalf("infeasible model solved: sol=%v err=%v", sol, err)
@@ -255,21 +255,17 @@ func TestPresolveEquivalence(t *testing.T) {
 func checkBruteForce(t *testing.T, name string, m *Model, proj []Var) {
 	t.Helper()
 	want, wantObj, feasible := bruteForce(m)
-	for _, w := range []int{1, 3} {
-		sol, err := Solve(context.Background(), m, Options{Workers: w})
-		if !feasible {
-			if !errors.Is(err, ErrInfeasible) {
-				t.Fatalf("%s workers=%d: infeasible model solved: sol=%v err=%v", name, w, sol, err)
-			}
-			continue
+	sol, err := Solve(context.Background(), m, Options{})
+	switch {
+	case !feasible:
+		if !errors.Is(err, ErrInfeasible) {
+			t.Fatalf("%s: infeasible model solved: sol=%v err=%v", name, sol, err)
 		}
-		if err != nil {
-			t.Fatalf("%s workers=%d: %v (brute force found %v)", name, w, err, want)
-		}
-		if !sol.Optimal || sol.Objective != wantObj || !reflect.DeepEqual(sol.Values, want) {
-			t.Fatalf("%s workers=%d: got %v obj %d (optimal=%v), brute force %v obj %d",
-				name, w, sol.Values, sol.Objective, sol.Optimal, want, wantObj)
-		}
+	case err != nil:
+		t.Fatalf("%s: %v (brute force found %v)", name, err, want)
+	case !sol.Optimal || sol.Objective != wantObj || !reflect.DeepEqual(sol.Values, want):
+		t.Fatalf("%s: got %v obj %d (optimal=%v), brute force %v obj %d",
+			name, sol.Values, sol.Objective, sol.Optimal, want, wantObj)
 	}
 
 	res, err := Enumerate(context.Background(), m, EnumOptions{Project: proj})

@@ -52,7 +52,7 @@ func TestSolveCancelReturnsIncumbent(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	sol, err := Solve(ctx, model, Options{MaxNodes: 1 << 30, Workers: 2})
+	sol, err := Solve(ctx, model, Options{MaxNodes: 1 << 30})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatalf("solve of the wide model finished within 30ms (%d nodes); enlarge the model", sol.Nodes)
@@ -60,9 +60,9 @@ func TestSolveCancelReturnsIncumbent(t *testing.T) {
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
-	// The deque pop and per-node budget check both observe the interrupt
-	// flag, so return must be prompt after expiry: well under the 100ms
-	// pipeline-wide cancellation bound.
+	// The search checks the context once per node, so return must be
+	// prompt after expiry: well under the 100ms pipeline-wide
+	// cancellation bound.
 	if elapsed > 30*time.Millisecond+100*time.Millisecond {
 		t.Errorf("cancelled solve took %v to return, want <100ms past the deadline", elapsed)
 	}
@@ -77,23 +77,21 @@ func TestSolveCancelReturnsIncumbent(t *testing.T) {
 	}
 }
 
-// TestSolveCancelNoGoroutineLeak pins the watcher-reaping contract: a
-// burst of cancelled solves must leave the goroutine count where it
-// started. The CI race job runs this under -race, which also shakes out
-// unsynchronized interrupt publishing.
+// TestSolveCancelNoGoroutineLeak: a burst of cancelled solves must leave
+// the goroutine count where it started. Solve spawns no goroutines, so
+// this guards against any coming back.
 func TestSolveCancelNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		_, err := Solve(ctx, wideModel(13), Options{MaxNodes: 1 << 30, Workers: 4})
+		_, err := Solve(ctx, wideModel(13), Options{MaxNodes: 1 << 30})
 		cancel()
 		if err != nil && !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("solve %d: unexpected error %v", i, err)
 		}
 	}
-	// Workers and the watcher are joined before Solve returns, but give
-	// the runtime a moment to retire exiting goroutines before declaring
-	// a leak.
+	// Give the runtime a moment to retire exiting goroutines before
+	// declaring a leak.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		runtime.GC()

@@ -8,15 +8,11 @@ import (
 	"testing"
 )
 
-// The parallel solver promises byte-identical Solution.Values at any
-// worker count (ties between equal-objective solutions are broken by the
-// canonical lexicographic rule, not by which worker got there first).
-// This file pins that promise on a fixed corpus: every model is solved
-// with Workers 1, 2 and 8 and the results must agree exactly. The race
-// CI job runs this under -race, which also exercises the deque and the
-// shared-bound publishing for data races.
-
-var workerCounts = []int{1, 2, 8}
+// The solver promises that a Solution — Values, Objective and Nodes — is
+// a pure function of the model and options: ties between equal-objective
+// solutions are broken by the canonical lexicographic rule, and the search
+// is one deterministic depth-first walk. This file pins that promise on a
+// fixed corpus.
 
 // corpusModel is one reproducible instance of the determinism corpus.
 type corpusModel struct {
@@ -45,8 +41,8 @@ func packingModel(n int, span int64) *Model {
 // row/column variables, big-M direction disjunctions, one-hot channeling
 // and occupancy indicators with a packing objective. It has many
 // equal-objective optima (mirrored and permuted placements), which is
-// exactly what the lexicographic tie-break must resolve identically on
-// every worker count.
+// exactly what the lexicographic tie-break must resolve to one canonical
+// answer.
 func placementModel(tiles, rows, cols int) *Model {
 	const bigM = 64
 	m := NewModel()
@@ -161,60 +157,61 @@ func corpus() []corpusModel {
 }
 
 // TestSolveDeterministicAcrossWorkers is the regression test for the
-// parallel solver's reproducibility guarantee.
+// solver's reproducibility guarantee. (The name predates the removal of
+// the parallel engine.) Every corpus model is solved twice, once before
+// and once after the whole corpus has run, so each second solve follows
+// other models' solves; values, objective and node count must agree.
 func TestSolveDeterministicAcrossWorkers(t *testing.T) {
-	for _, cm := range corpus() {
+	models := corpus()
+	type result struct {
+		sol *Solution
+		err error
+	}
+	first := make([]result, len(models))
+	for i, cm := range models {
+		sol, err := Solve(context.Background(), cm.build(), Options{})
+		first[i] = result{sol, err}
+	}
+	for i, cm := range models {
 		t.Run(cm.name, func(t *testing.T) {
-			var ref *Solution
-			var refErr error
-			for _, w := range workerCounts {
-				sol, err := Solve(context.Background(), cm.build(), Options{Workers: w})
-				if w == workerCounts[0] {
-					ref, refErr = sol, err
-					if err == nil {
-						if !sol.Optimal {
-							t.Fatalf("corpus model did not complete within the node budget")
-						}
-						if err := CheckFeasible(cm.build(), sol.Values); err != nil {
-							t.Fatalf("workers=%d returned infeasible solution: %v", w, err)
-						}
-					}
-					continue
+			ref, refErr := first[i].sol, first[i].err
+			if refErr == nil {
+				if !ref.Optimal {
+					t.Fatalf("corpus model did not complete within the node budget")
 				}
-				if (err == nil) != (refErr == nil) {
-					t.Fatalf("workers=%d err=%v, workers=%d err=%v", workerCounts[0], refErr, w, err)
+				if err := CheckFeasible(cm.build(), ref.Values); err != nil {
+					t.Fatalf("returned infeasible solution: %v", err)
 				}
-				if err != nil {
-					continue
-				}
-				if sol.Objective != ref.Objective {
-					t.Errorf("workers=%d objective %d, workers=%d objective %d",
-						workerCounts[0], ref.Objective, w, sol.Objective)
-				}
-				for i := range sol.Values {
-					if sol.Values[i] != ref.Values[i] {
-						t.Errorf("workers=%d and workers=%d disagree at var %d: %d vs %d",
-							workerCounts[0], w, i, ref.Values[i], sol.Values[i])
-						break
-					}
-				}
+			}
+			sol, err := Solve(context.Background(), cm.build(), Options{})
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("first solve err=%v, second solve err=%v", refErr, err)
+			}
+			if err != nil {
+				return
+			}
+			if sol.Objective != ref.Objective {
+				t.Errorf("objective %d, then %d", ref.Objective, sol.Objective)
+			}
+			if sol.Nodes != ref.Nodes {
+				t.Errorf("nodes %d, then %d", ref.Nodes, sol.Nodes)
+			}
+			if !reflect.DeepEqual(sol.Values, ref.Values) {
+				t.Errorf("values %v, then %v", ref.Values, sol.Values)
 			}
 		})
 	}
 }
 
-// TestPooledStateIsolatedAcrossSolves: the worker free lists and
-// propagation scratch are per-solve state, so a burst of interleaved
-// parallel solves of different models must reproduce each model's
-// canonical values exactly — any stale pooled bound vector crossing a
-// solve would break the equality. The CI race job runs this under -race,
-// which additionally shakes out sharing of pooled buffers between
-// workers.
+// TestPooledStateIsolatedAcrossSolves: the free list and propagation
+// scratch are per-solve state, so a burst of interleaved solves of
+// different models must reproduce each model's canonical values exactly —
+// any stale pooled bound vector crossing a solve would break the equality.
 func TestPooledStateIsolatedAcrossSolves(t *testing.T) {
 	models := corpus()
 	ref := make(map[string]*Solution)
 	for _, cm := range models {
-		sol, err := Solve(context.Background(), cm.build(), Options{Workers: 1})
+		sol, err := Solve(context.Background(), cm.build(), Options{})
 		if err != nil {
 			continue // infeasible corpus entries are exercised below anyway
 		}
@@ -228,7 +225,7 @@ func TestPooledStateIsolatedAcrossSolves(t *testing.T) {
 			if round%2 == 1 {
 				cm = models[len(models)-1-i]
 			}
-			sol, err := Solve(context.Background(), cm.build(), Options{Workers: 4})
+			sol, err := Solve(context.Background(), cm.build(), Options{})
 			want, ok := ref[cm.name]
 			if !ok {
 				if err == nil {
@@ -251,19 +248,17 @@ func TestPooledStateIsolatedAcrossSolves(t *testing.T) {
 // model whose optima are known and tied must return the lexicographically
 // smallest value vector.
 func TestSolveLexicographicTieBreak(t *testing.T) {
-	for _, w := range workerCounts {
-		m := NewModel()
-		x := m.NewVar("x", 0, 3)
-		y := m.NewVar("y", 0, 3)
-		m.AddEq("sum", []Term{T(1, x), T(1, y)}, 3)
-		m.SetObjective([]Term{T(1, x), T(1, y)}) // every solution ties at 3
-		sol, err := Solve(context.Background(), m, Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sol.Value(x) != 0 || sol.Value(y) != 3 {
-			t.Errorf("workers=%d: x=%d y=%d, want lexicographically smallest 0,3",
-				w, sol.Value(x), sol.Value(y))
-		}
+	m := NewModel()
+	x := m.NewVar("x", 0, 3)
+	y := m.NewVar("y", 0, 3)
+	m.AddEq("sum", []Term{T(1, x), T(1, y)}, 3)
+	m.SetObjective([]Term{T(1, x), T(1, y)}) // every solution ties at 3
+	sol, err := Solve(context.Background(), m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Value(x) != 0 || sol.Value(y) != 3 {
+		t.Errorf("x=%d y=%d, want lexicographically smallest 0,3",
+			sol.Value(x), sol.Value(y))
 	}
 }

@@ -116,10 +116,9 @@ func Enumerate(ctx context.Context, m *Model, opts EnumOptions) (*EnumResult, er
 	return e.Run(ctx, opts.MaxNodes)
 }
 
-// enumFrame is one enumeration subproblem (the single-threaded analogue
-// of frame, without depth bookkeeping). rows is the solver's row count
-// when the frame was created: rows appended after it are cuts its bounds
-// have not seen yet.
+// enumFrame is one enumeration subproblem: Solve's frame plus rows, the
+// solver's row count when the frame was created — rows appended after it
+// are cuts its bounds have not seen yet.
 type enumFrame struct {
 	lo, hi []int64
 	seed   []int32

@@ -271,7 +271,7 @@ func TestEnumerateMatchesSolveOptimum(t *testing.T) {
 	b := m.NewVar("b", 0, 3)
 	m.AddGE("sep", []Term{T(1, b), T(-1, a)}, 2)
 	m.SetObjective([]Term{T(1, a), T(1, b)})
-	sol, err := Solve(context.Background(), m, Options{Workers: 1})
+	sol, err := Solve(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

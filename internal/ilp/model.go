@@ -170,9 +170,9 @@ type Solution struct {
 	// Optimal reports whether the solver proved optimality; false means
 	// the node budget expired with this incumbent in hand.
 	Optimal bool
-	// Nodes is the number of branch-and-bound nodes explored, aggregated
-	// across all workers. Unlike Values, it may vary between runs and
-	// worker counts (pruning depends on when incumbents are published).
+	// Nodes is the number of branch-and-bound nodes explored. Like
+	// Values, it is a pure function of the model and options: the search
+	// is one deterministic depth-first walk.
 	Nodes int
 }
 

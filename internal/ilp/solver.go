@@ -3,10 +3,10 @@ package ilp
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"coremap/internal/cmerr"
 	"coremap/internal/obs"
+	"coremap/internal/pool"
 )
 
 // Errors returned by Solve.
@@ -35,24 +35,18 @@ type Options struct {
 	// column variables here: once those are fixed, everything else is
 	// decided by propagation or cheap follow-up branching.
 	BranchOrder []Var
-	// Workers sets the number of branch-and-bound workers pulling subtree
-	// tasks from a shared deque (0 = runtime.GOMAXPROCS). Results are
-	// independent of the worker count: ties between equal-objective
-	// solutions are broken by a canonical lexicographic rule, so a solve
-	// that completes within MaxNodes returns byte-identical
-	// Solution.Values at any Workers setting. Only Solution.Nodes (and,
-	// for budget-truncated searches, the incumbent) may vary.
-	Workers int
 }
 
 // DefaultMaxNodes is the search budget used when Options.MaxNodes is 0.
 const DefaultMaxNodes = 2_000_000
 
 // Solve minimizes m's objective subject to its constraints. The search is
-// cancellable: when ctx expires, workers stop at the next node boundary
-// (the deque pop and the per-node budget check both observe it) and Solve
-// returns the best incumbent found so far together with ErrInterrupted,
-// or ErrInterrupted alone when no feasible leaf had been reached yet.
+// one depth-first branch and bound on the calling goroutine, so the whole
+// Solution — values and node count alike — is a pure function of the
+// model and options. It is cancellable: ctx is checked once per node, and
+// on expiry Solve returns the best incumbent found so far together with
+// ErrInterrupted, or ErrInterrupted alone when no feasible leaf had been
+// reached yet.
 func Solve(ctx context.Context, m *Model, opts Options) (sol *Solution, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -65,61 +59,34 @@ func Solve(ctx context.Context, m *Model, opts Options) (sol *Solution, err erro
 	if maxNodes <= 0 {
 		maxNodes = DefaultMaxNodes
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	s := &solver{m: m}
 	s.build(opts.BranchOrder)
-
-	lo := append([]int64(nil), m.lo...)
-	hi := append([]int64(nil), m.hi...)
-	e := newEngine(s, workers, maxNodes)
-
-	// A watcher turns context expiry into the engine's interrupt flag,
-	// which every worker polls per node and which wakes blocked deque
-	// pops. The stop channel reaps the watcher on normal completion so a
-	// Solve never leaks a goroutine (the CI race job pins this).
-	stop := make(chan struct{})
-	watcher := make(chan struct{})
-	go func() {
-		defer close(watcher)
-		select {
-		case <-ctx.Done():
-			e.interrupt()
-		case <-stop:
-		}
-	}()
-	e.run(frame{lo: lo, hi: hi})
-	close(stop)
-	<-watcher
+	e := &engine{s: s, maxNodes: int64(maxNodes), bound: PosInf}
+	complete, cerr := e.search(ctx, frame{
+		lo: append([]int64(nil), m.lo...),
+		hi: append([]int64(nil), m.hi...),
+	})
 
 	e.record(obs.RegistryFrom(ctx), span)
 	obs.RegistryFrom(ctx).Histogram("ilp/solve_us").
 		Observe(clock.Now().Sub(solveStart).Microseconds())
-	interrupted := e.interrupted.Load()
-	// The pool has joined, but the incumbent fields are guarded by e.mu,
-	// so the (uncontended) lock is taken for the final read too.
-	e.mu.Lock()
-	best, bestObj := e.best, e.bestObj
-	e.mu.Unlock()
-	if best == nil {
-		if interrupted {
-			return nil, fmt.Errorf("%w (no incumbent): %w", ErrInterrupted, context.Cause(ctx))
+	if e.best == nil {
+		if cerr != nil {
+			return nil, fmt.Errorf("%w (no incumbent): %w", ErrInterrupted, cerr)
 		}
-		if e.aborted.Load() {
+		if !complete {
 			return nil, ErrNodeLimit
 		}
 		return nil, ErrInfeasible
 	}
 	sol = &Solution{
-		Values:    best,
-		Objective: bestObj,
-		Optimal:   !e.aborted.Load(),
-		Nodes:     int(e.nodes.Load()),
+		Values:    e.best,
+		Objective: e.bestObj,
+		Optimal:   complete,
+		Nodes:     int(e.nodes),
 	}
-	if interrupted {
+	if cerr != nil {
 		// The incumbent is complete and feasible; hand it back with the
 		// interruption so callers can degrade instead of discarding it.
 		return sol, ErrInterrupted
@@ -127,33 +94,123 @@ func Solve(ctx context.Context, m *Model, opts Options) (sol *Solution, err erro
 	return sol, nil
 }
 
-// record publishes the finished search's statistics: counters for nodes,
-// prunes and incumbent updates, the per-worker node histogram, and the
-// node/worker attributes of the solve span. Safe (and a near no-op) with
-// a nil registry. Called after the worker pool has joined, so the engine
-// state is quiescent.
-func (e *engine) record(reg *obs.Registry, span *obs.Span) {
-	nodes := e.nodes.Load()
-	span.SetAttr("nodes", nodes).SetAttr("workers", int64(e.workers))
-	if reg == nil {
-		return
+// frame is one branch-and-bound subproblem: variable bounds plus the
+// constraints to re-propagate (those touching the last-branched variable).
+type frame struct {
+	lo, hi []int64
+	seed   []int32
+}
+
+// engine owns the mutable state of one Solve call.
+type engine struct {
+	s        *solver
+	maxNodes int64
+
+	// bound is the objective cut: subtrees whose objective cannot reach
+	// ≤ bound are pruned. PosInf until the first incumbent.
+	bound int64
+	// nodes counts processed frames; pruned counts frames discarded by
+	// propagation (domain wipe-out or bound cut) before any branching;
+	// incumbents counts accepted incumbent updates.
+	nodes, pruned, incumbents int64
+
+	// best/bestObj are the incumbent solution and its objective.
+	best    []int64
+	bestObj int64
+
+	sc propScratch
+	fl pool.FreeList[int64]
+}
+
+// search explores the tree rooted at root depth-first. It returns
+// complete=true when the tree is exhausted, false when the node budget
+// expired, and a non-nil error (the context's cause) when ctx was
+// cancelled mid-search.
+//
+// Frame bound vectors cycle through the free list: children copy the
+// parent's (already propagated) bounds into recycled slices, and the
+// parent's vectors are handed back once its children are built — after
+// offer has copied the leaf. Early returns simply drop the open frames;
+// the GC reclaims them.
+func (e *engine) search(ctx context.Context, root frame) (complete bool, err error) {
+	s := e.s
+	stack := []frame{root}
+	for len(stack) > 0 {
+		if cerr := ctx.Err(); cerr != nil {
+			return false, context.Cause(ctx)
+		}
+		e.nodes++
+		if e.nodes > e.maxNodes {
+			return false, nil
+		}
+		f := stack[len(stack)-1]
+		stack[len(stack)-1] = frame{}
+		stack = stack[:len(stack)-1]
+
+		if !s.propagate(f.lo, f.hi, f.seed, e.bound, &e.sc) {
+			e.pruned++
+			e.fl.Put(f.lo)
+			e.fl.Put(f.hi)
+			continue
+		}
+		v := s.pickVar(f.lo, f.hi)
+		if v == -1 {
+			e.offer(f.lo)
+			e.fl.Put(f.lo)
+			e.fl.Put(f.hi)
+			continue
+		}
+		// Pushing in reverse explores ascending values first, which
+		// suits the packing objective (small indices first).
+		// Ownership of nl/nh moves into the child frame; Put happens
+		// when the frame is popped.
+		for x := f.hi[v]; x >= f.lo[v]; x-- {
+			nl := e.fl.Get(len(f.lo))
+			nh := e.fl.Get(len(f.hi))
+			copy(nl, f.lo)
+			copy(nh, f.hi)
+			nl[v], nh[v] = x, x
+			stack = append(stack, frame{lo: nl, hi: nh, seed: s.occ[v]})
+		}
+		e.fl.Put(f.lo)
+		e.fl.Put(f.hi)
 	}
-	e.mu.Lock()
-	incumbents := e.incumbents
-	e.mu.Unlock()
-	reg.Counter("ilp/solves").Inc()
-	reg.Counter("ilp/nodes").Add(nodes)
-	reg.Counter("ilp/pruned").Add(e.pruned.Load())
-	reg.Counter("ilp/incumbents").Add(incumbents)
-	h := reg.Histogram("ilp/worker_nodes")
-	for _, n := range e.workerNodes {
-		h.Observe(n)
+	return true, nil
+}
+
+// offer proposes a fully assigned feasible leaf as the incumbent. The
+// update rule is a total order — smaller objective, then lexicographically
+// smaller values — so the surviving incumbent is the minimum over all
+// offered leaves.
+func (e *engine) offer(vals []int64) {
+	z := e.s.objective(vals)
+	if e.best == nil || z < e.bestObj || (z == e.bestObj && lexLess(vals, e.best)) {
+		e.best, e.bestObj = append([]int64(nil), vals...), z
+		e.incumbents++
+		if e.s.objIdx >= 0 {
+			e.bound = z
+		}
 	}
 }
 
-// solver is the immutable search context shared by all workers: the model,
-// its constraint/occurrence indexes and the branching priorities. Mutable
-// search state (incumbent, bound, node budget, task deque) lives in engine.
+// record publishes the finished search's statistics: counters for nodes,
+// prunes and incumbent updates, and the node attribute of the solve span.
+// Safe (and a near no-op) with a nil registry.
+func (e *engine) record(reg *obs.Registry, span *obs.Span) {
+	span.SetAttr("nodes", e.nodes)
+	if reg == nil {
+		return
+	}
+	reg.Counter("ilp/solves").Inc()
+	reg.Counter("ilp/nodes").Add(e.nodes)
+	reg.Counter("ilp/pruned").Add(e.pruned)
+	reg.Counter("ilp/incumbents").Add(e.incumbents)
+}
+
+// solver is the immutable search context: the model, its
+// constraint/occurrence indexes and the branching priorities. Mutable
+// search state (incumbent, bound, node budget) lives in engine, or in the
+// Enumerator.
 type solver struct {
 	m      *Model
 	cons   []constraint
@@ -167,11 +224,10 @@ func (s *solver) build(order []Var) {
 	s.objIdx = -1
 	if len(s.m.obj) > 0 {
 		// The objective is represented as a cut constraint whose upper
-		// bound is the shared incumbent bound: once an incumbent with
-		// value z is known, propagation prunes anything worse than z.
+		// bound is the incumbent bound: once an incumbent with value z
+		// is known, propagation prunes anything worse than z.
 		// Equal-objective solutions stay reachable so the lexicographic
-		// tie-break is applied to every optimum, keeping results
-		// scheduling-independent.
+		// tie-break is applied to every optimum.
 		s.objIdx = len(s.cons)
 		s.cons = append(s.cons, constraint{
 			terms: s.m.obj, lo: NegInf, hi: PosInf, label: "objective-cut",
@@ -229,7 +285,7 @@ func ceilDiv(a, b int64) int64 {
 	return q
 }
 
-// propScratch is one worker's reusable propagation state: an epoch-stamped
+// propScratch is one search's reusable propagation state: an epoch-stamped
 // in-queue mark per constraint plus the FIFO work queue itself. Bumping the
 // epoch invalidates every stale mark at once, so re-arming the scratch for
 // the next node is O(1) instead of O(constraints) — propagate runs once per
@@ -243,7 +299,7 @@ type propScratch struct {
 
 // propagate tightens lo/hi to a fixpoint of interval consistency over all
 // constraints. objHi is the current upper bound of the objective cut (the
-// shared incumbent bound; PosInf when no incumbent or no objective exists).
+// incumbent bound; PosInf when no incumbent or no objective exists).
 // It reports false on a domain wipe-out or violated constraint.
 //
 // The fixpoint of interval propagation is confluent — the same final bounds
@@ -391,8 +447,8 @@ func (s *solver) objective(vals []int64) int64 {
 
 // lexLess reports whether a precedes b lexicographically. It is the
 // canonical tie-break between equal-objective solutions: the winner is the
-// same whichever worker finds which solution first, which is what makes
-// parallel solves reproducible.
+// minimum over every optimum, not whichever the search order reached
+// first.
 func lexLess(a, b []int64) bool {
 	for i := range a {
 		if a[i] != b[i] {

@@ -52,7 +52,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			maps[i], errs[i] = Reconstruct(context.Background(), in, Options{Cache: c, Workers: 1})
+			maps[i], errs[i] = Reconstruct(context.Background(), in, Options{Cache: c})
 		}(i)
 	}
 	wg.Wait()
@@ -136,7 +136,7 @@ func TestReconstructObservationOrderInvariant(t *testing.T) {
 	})
 	in := Input{NumCHA: len(tiles), Rows: rows, Cols: cols,
 		Observations: syntheticObservations(g, tiles)}
-	base, err := Reconstruct(context.Background(), in, Options{Workers: 1})
+	base, err := Reconstruct(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestReconstructObservationOrderInvariant(t *testing.T) {
 		r.Shuffle(len(perm.Observations), func(i, j int) {
 			perm.Observations[i], perm.Observations[j] = perm.Observations[j], perm.Observations[i]
 		})
-		got, err := Reconstruct(context.Background(), perm, Options{Workers: 1})
+		got, err := Reconstruct(context.Background(), perm, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

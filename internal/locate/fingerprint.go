@@ -24,8 +24,7 @@ import (
 //     on unreferenced IMCPositions entries;
 //   - only the Options fields that can change the reconstruction
 //     participate (PaperExactBounds, MaxNodes, MaxSeparationRounds).
-//     Workers is excluded: the parallel solver guarantees byte-identical
-//     Solution.Values at any worker count.
+//     Workers is excluded: it is ignored (the solver is single-threaded).
 //
 // fingerprintVersion is baked into the digest; bump it whenever the
 // encoding or the reconstruction semantics change so stale processes

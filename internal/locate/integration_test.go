@@ -2,6 +2,7 @@ package locate
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"coremap/internal/machine"
@@ -143,20 +144,20 @@ func TestPipelineDeterministic(t *testing.T) {
 	}
 }
 
-// TestPipelineWorkerCountInvariant: the reconstruction of a real measured
-// instance must be identical whether the ILP runs on one worker or many —
-// the end-to-end face of ilp's determinism guarantee.
+// TestPipelineWorkerCountInvariant: reconstructing a real measured
+// instance twice with default options must give the same map and the same
+// solver node count — the end-to-end face of ilp's determinism guarantee.
+// (The name predates the removal of the parallel engine, whose default of
+// one worker per core made node counts vary between runs.)
 func TestPipelineWorkerCountInvariant(t *testing.T) {
 	for _, sku := range []*machine.SKU{machine.SKU8259CL, machine.SKU6354} {
-		ref, _ := runPipeline(t, machine.Generate(sku, 1, machine.Config{Seed: 500}), Options{Workers: 1})
-		for _, workers := range []int{2, 4} {
-			mp, _ := runPipeline(t, machine.Generate(sku, 1, machine.Config{Seed: 500}), Options{Workers: workers})
-			for i := range ref.Pos {
-				if mp.Pos[i] != ref.Pos[i] {
-					t.Fatalf("%s: workers=%d moved CHA %d: %v vs %v",
-						sku.Name, workers, i, mp.Pos[i], ref.Pos[i])
-				}
-			}
+		ref, _ := runPipeline(t, machine.Generate(sku, 1, machine.Config{Seed: 500}), Options{})
+		mp, _ := runPipeline(t, machine.Generate(sku, 1, machine.Config{Seed: 500}), Options{})
+		if !reflect.DeepEqual(mp.Pos, ref.Pos) {
+			t.Fatalf("%s: map moved between runs:\n%v\n%v", sku.Name, ref.Pos, mp.Pos)
+		}
+		if mp.Nodes != ref.Nodes {
+			t.Fatalf("%s: solver nodes %d, then %d", sku.Name, ref.Nodes, mp.Nodes)
 		}
 	}
 }

@@ -70,11 +70,8 @@ type Input struct {
 type Options struct {
 	// MaxNodes bounds the ILP search per solve (0 = ilp default).
 	MaxNodes int
-	// Workers is the ILP worker count per solve (0 = GOMAXPROCS). Callers
-	// that already parallelize across instances — the survey loops in
-	// internal/experiments — pass 1 so nested parallelism does not
-	// oversubscribe the machine. The reconstructed map is identical at
-	// any setting (see ilp.Options.Workers).
+	// Workers is ignored; the solver is single-threaded. It is removed
+	// at the next benchmark change.
 	Workers int
 	// MaxSeparationRounds bounds the lazy no-overlap loop.
 	MaxSeparationRounds int
@@ -437,7 +434,6 @@ func (b *builder) solve(ctx context.Context, opts Options) (*Map, error) {
 		sol, err := ilp.Solve(ctx, b.m, ilp.Options{
 			MaxNodes:    opts.MaxNodes,
 			BranchOrder: b.branchOrder(),
-			Workers:     opts.Workers,
 		})
 		if errors.Is(err, ilp.ErrInfeasible) {
 			return nil, ErrUnsatisfiable

@@ -42,7 +42,7 @@ func reconstructRaw(t *testing.T, in Input) *Map {
 		b.addObservation(p, o, false)
 	}
 	b.addObjective()
-	m, err := b.solve(context.Background(), Options{Workers: 1})
+	m, err := b.solve(context.Background(), Options{})
 	if err != nil {
 		t.Fatalf("unpruned: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestPruneInvariant(t *testing.T) {
 	} {
 		m := machine.Generate(tc.sku, tc.idx, machine.Config{Seed: tc.seed})
 		in := measuredInput(t, m)
-		pruned, err := Reconstruct(context.Background(), in, Options{Workers: 1})
+		pruned, err := Reconstruct(context.Background(), in, Options{})
 		if err != nil {
 			t.Fatalf("%s pattern %d: pruned: %v", tc.sku.Name, tc.idx, err)
 		}
@@ -110,7 +110,7 @@ func TestPruneInvariantSyntheticSubsets(t *testing.T) {
 			Cols:         cols,
 			Observations: syntheticObservations(g, tiles),
 		}
-		pruned, err := Reconstruct(context.Background(), in, Options{Workers: 1})
+		pruned, err := Reconstruct(context.Background(), in, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: pruned: %v", trial, err)
 		}

@@ -96,7 +96,6 @@ func (Backend) QuickSurvey(ctx context.Context, skuName string, seed int64) (_ *
 	before := reg.Snapshot()
 	res, err := coremap.MapMachine(ctx, m, coremap.DieInfo{Rows: sku.Rows, Cols: sku.Cols, IMC: sku.IMC}, coremap.Options{
 		Probe:         probe.Options{Seed: seed},
-		Locate:        locate.Options{Workers: 1},
 		MemoryAnchors: true,
 	})
 	if err != nil {

@@ -9,14 +9,12 @@ package coremap_test
 import (
 	"context"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
 	"coremap"
 	"coremap/internal/cmerr"
 	"coremap/internal/faulty"
-	"coremap/internal/locate"
 	"coremap/internal/machine"
 	"coremap/internal/mesh"
 	"coremap/internal/probe"
@@ -38,33 +36,25 @@ func identity(r *coremap.Result) mapIdentity {
 
 func TestPlannedSurveyMatchesExhaustive(t *testing.T) {
 	skus := []*machine.SKU{machine.SKU8124M, machine.SKU8175M, machine.SKU8259CL}
-	workerCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
 	for _, sku := range skus {
 		for seed := int64(1); seed <= 2; seed++ {
-			for _, workers := range workerCounts {
-				m := machine.Generate(sku, int(seed)%4, machine.Config{Seed: seed})
-				die := coremap.DieInfo{Rows: sku.Rows, Cols: sku.Cols, IMC: sku.IMC}
-				run := func(noPlan bool) *coremap.Result {
-					t.Helper()
-					res, err := coremap.MapMachine(context.Background(), m, die, coremap.Options{
-						Probe:  probe.Options{Seed: seed},
-						Locate: locate.Options{Workers: workers},
-						NoPlan: noPlan,
-					})
-					if err != nil {
-						t.Fatalf("%s seed %d workers %d noPlan=%v: %v",
-							sku.Name, seed, workers, noPlan, err)
-					}
-					return res
+			m := machine.Generate(sku, int(seed)%4, machine.Config{Seed: seed})
+			die := coremap.DieInfo{Rows: sku.Rows, Cols: sku.Cols, IMC: sku.IMC}
+			run := func(noPlan bool) *coremap.Result {
+				t.Helper()
+				res, err := coremap.MapMachine(context.Background(), m, die, coremap.Options{
+					Probe:  probe.Options{Seed: seed},
+					NoPlan: noPlan,
+				})
+				if err != nil {
+					t.Fatalf("%s seed %d noPlan=%v: %v", sku.Name, seed, noPlan, err)
 				}
-				planned, exhaustive := run(false), run(true)
-				if !reflect.DeepEqual(identity(planned), identity(exhaustive)) {
-					t.Errorf("%s seed %d workers %d: planned map differs from exhaustive\nplanned:    %+v\nexhaustive: %+v",
-						sku.Name, seed, workers, identity(planned), identity(exhaustive))
-				}
+				return res
+			}
+			planned, exhaustive := run(false), run(true)
+			if !reflect.DeepEqual(identity(planned), identity(exhaustive)) {
+				t.Errorf("%s seed %d: planned map differs from exhaustive\nplanned:    %+v\nexhaustive: %+v",
+					sku.Name, seed, identity(planned), identity(exhaustive))
 			}
 		}
 	}

@@ -13,7 +13,6 @@ import (
 
 	"coremap/internal/faulty"
 	"coremap/internal/hostif"
-	"coremap/internal/locate"
 	"coremap/internal/machine"
 	"coremap/internal/msr"
 	"coremap/internal/obs"
@@ -74,9 +73,7 @@ func fakeClockTelemetry(sink *bytes.Buffer) *obs.Telemetry {
 }
 
 // mappedRun maps one fresh, identically-seeded instance and returns the
-// result plus the recorded host-operation trace. Workers is pinned to 1:
-// the recovered map is identical at any worker count, but node totals —
-// and with them the trace — are only deterministic single-threaded.
+// result plus the recorded host-operation trace.
 func mappedRun(t *testing.T, tel *obs.Telemetry) (*Result, []string) {
 	t.Helper()
 	m := machine.Generate(machine.SKU8175M, 0, machine.Config{Seed: 7})
@@ -87,8 +84,7 @@ func mappedRun(t *testing.T, tel *obs.Telemetry) (*Result, []string) {
 	}
 	sku := machine.SKU8175M
 	res, err := MapMachine(ctx, rec, DieInfo{Rows: sku.Rows, Cols: sku.Cols}, Options{
-		Probe:  probe.Options{Seed: 1},
-		Locate: locate.Options{Workers: 1},
+		Probe: probe.Options{Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
