@@ -57,7 +57,8 @@ smoke:
 	go run ./cmd/experiments -exp quick -topology noc
 
 # The planner acceptance gate alone: planned vs exhaustive survey on one
-# 8259CL instance — byte-identical map, ≤ 1/3 of the host operations.
+# 8259CL and one 6354 instance — byte-identical maps, and ≤ 1/3 of the
+# host operations on the 8259CL.
 plancompare:
 	go run ./cmd/experiments -exp plancompare
 

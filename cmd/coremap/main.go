@@ -149,7 +149,7 @@ func main() {
 	fmt.Printf("%s instance (PPIN %#016x)\n\n", sku.Name, res.PPIN)
 	fmt.Printf("OS core ID → CHA ID: %v\n\n", res.OSToCHA)
 	fmt.Printf("Recovered core map (OS/CHA; dots are tiles with no active CHA):\n%s\n", res.Render())
-	fmt.Printf("ILP: optimal=%v, %d search nodes\n", res.Optimal, res.SolverNodes)
+	fmt.Printf("reconstruction: %s\n", res.SearchSummary())
 	if res.Degraded {
 		fmt.Printf("DEGRADED: measurement coverage %.1f%% (host faults dropped experiments)\n", res.Coverage*100)
 	}

@@ -17,9 +17,9 @@
 // disables the adaptive measurement planner and surveys every core pair
 // exhaustively — the maps are identical either way, only the host
 // operation counts move. plancompare runs both modes back to back on one
-// chip and exits non-zero unless the planned survey converged to a
-// byte-identical map for at most one third of the exhaustive host
-// operations (the CI smoke gate). quick surveys one seeded instance of
+// 8259CL and one 6354 chip and exits non-zero unless each planned survey
+// converged to a byte-identical map, the 8259CL one for at most one
+// third of the exhaustive host operations (the CI smoke gate). quick surveys one seeded instance of
 // the -topology backend's default SKU twice and exits non-zero unless
 // the placement is exact, proven, and deterministic — the per-backend
 // smoke gate; the paper-reproduction experiments themselves are
@@ -154,20 +154,23 @@ func main() {
 			return maybeCSV(func(dir string) error { return writeRobustnessCSV(dir, cells) })
 		},
 		"plancompare": func() error {
-			r, err := experiments.PlanCompare(ctx, cfg)
+			results, err := experiments.PlanCompare(ctx, cfg)
 			if err != nil {
 				return err
 			}
-			// The CI smoke gate: the planner must converge to the same
-			// map the exhaustive survey finds, for at most a third of
+			// The CI smoke gate: on every instance the planner must
+			// converge to the same map the exhaustive survey finds; on
+			// the Table I instance it must do so for at most a third of
 			// the host operations.
-			switch {
-			case !r.Identical:
-				return fmt.Errorf("plancompare: planned map differs from exhaustive map")
-			case !r.Converged:
-				return fmt.Errorf("plancompare: planned survey did not converge (fell back to exhaustive measurement)")
-			case r.Ratio > 1.0/3.0:
-				return fmt.Errorf("plancompare: planned survey used %.1f%% of exhaustive host ops, gate is 33.3%%", r.Ratio*100)
+			for _, r := range results {
+				switch {
+				case !r.Identical:
+					return fmt.Errorf("plancompare: %s planned map differs from exhaustive map", r.SKU)
+				case !r.Converged:
+					return fmt.Errorf("plancompare: %s planned survey did not converge (fell back to exhaustive measurement)", r.SKU)
+				case r.OpsGated && r.Ratio > 1.0/3.0:
+					return fmt.Errorf("plancompare: %s planned survey used %.1f%% of exhaustive host ops, gate is 33.3%%", r.SKU, r.Ratio*100)
+				}
 			}
 			return nil
 		},

@@ -105,10 +105,21 @@ type Result struct {
 	// Anchored reports that memory-anchored observations pinned the map
 	// in absolute die coordinates.
 	Anchored bool `json:"anchored"`
-	// Optimal reports whether the ILP proved optimality.
+	// Optimal reports whether the map is proven optimal: by the ILP, or
+	// by a pick over the planner's complete survivor set.
 	Optimal bool `json:"optimal"`
-	// SolverNodes is the branch-and-bound effort spent.
+	// SolverNodes is the branch-and-bound effort spent (0 when the map
+	// was picked from the planner's survivor set).
 	SolverNodes int `json:"solver_nodes"`
+	// Candidates is the number of distinct placements the observations
+	// admit, for a map picked from the planner's survivor set: counted
+	// up to mirror and translation unless Anchored. 0 when the map was
+	// solved (NoPlan, or a planned survey that fell back).
+	Candidates int `json:"candidates,omitempty"`
+	// Ambiguous reports Candidates > 1: more than one placement explains
+	// every observation, and the packing objective chose among them, so
+	// the map may differ from the true layout.
+	Ambiguous bool `json:"ambiguous,omitempty"`
 	// Degraded reports that the map was reconstructed from an incomplete
 	// measurement (experiments or core mappings were dropped after
 	// permanent host faults); Coverage is the completed fraction.
@@ -169,6 +180,7 @@ func MapMachine(ctx context.Context, h hostif.Host, die DieInfo, opts Options) (
 		Cols:         die.Cols,
 		Observations: meas.Observations,
 		IMCPositions: die.IMC,
+		Survivors:    survivors(meas, opts.Probe.Plan, die, opts.Locate),
 	}, opts.Locate)
 	if err != nil {
 		return nil, cmerr.Ensure(cmerr.Permanent, "coremap", err)
@@ -181,15 +193,45 @@ func MapMachine(ctx context.Context, h hostif.Host, die DieInfo, opts Options) (
 		Anchored:    mp.Anchored,
 		Optimal:     mp.Optimal,
 		SolverNodes: mp.Nodes,
+		Candidates:  mp.Candidates,
+		Ambiguous:   mp.Candidates > 1,
 		Degraded:    meas.Degraded,
 		Coverage:    meas.Coverage(),
 	}, measErr
+}
+
+// survivors returns the planner's survivor set when it is the feasible
+// set of the reconstruction about to run, nil otherwise. The planner
+// filtered it under its own options: a different bounds form (possible
+// with an explicit Options.Probe.Plan) or a different grid would make
+// the set describe another problem, and picking from it could return a
+// map the solver would not.
+func survivors(meas *probe.Result, po *plan.Options, die DieInfo, lo locate.Options) [][]mesh.Coord {
+	if po == nil || po.PaperExactBounds != lo.PaperExactBounds ||
+		po.Rows != die.Rows || po.Cols != die.Cols || !slices.Equal(po.IMCPositions, die.IMC) {
+		return nil
+	}
+	return meas.Survivors
 }
 
 // Render draws the recovered map as a Fig. 4-style grid with "os/cha"
 // labels ("-/cha" for LLC-only tiles).
 func (r *Result) Render() string {
 	return stats.RenderMap(r.Die.Rows, r.Die.Cols, r.Pos, r.OSToCHA)
+}
+
+// SearchSummary says how the map was reconstructed: picked from the
+// planner's survivor set, with its candidate count (and whether it is
+// ambiguous), or solved by branch-and-bound, with the nodes searched.
+func (r *Result) SearchSummary() string {
+	if r.Candidates == 0 {
+		return fmt.Sprintf("ILP solve, optimal=%v, %d search nodes", r.Optimal, r.SolverNodes)
+	}
+	s := fmt.Sprintf("picked from the planner's survivors, optimal=%v, %d candidate placement(s)", r.Optimal, r.Candidates)
+	if r.Ambiguous {
+		s += " — AMBIGUOUS: several placements explain every observation and the packing objective chose one"
+	}
+	return s
 }
 
 // PatternKey returns the canonical pattern identity of the map, the unit

@@ -38,9 +38,9 @@ func main() {
 	_, anchAbs := locate.ScoreAbsolute(anchored.Pos, truth)
 
 	fmt.Printf("Xeon 6354, core-pair observations only:\n")
-	fmt.Printf("  absolute accuracy %d/%d tiles, %d ILP nodes (map defined only up to mirror/translation)\n",
-		plainAbs, len(truth), plain.SolverNodes)
+	fmt.Printf("  absolute accuracy %d/%d tiles (map defined only up to mirror/translation)\n  %s\n",
+		plainAbs, len(truth), plain.SearchSummary())
 	fmt.Printf("with memory anchors (IMC→core flush+load streams):\n")
-	fmt.Printf("  absolute accuracy %d/%d tiles, %d ILP nodes\n\n", anchAbs, len(truth), anchored.SolverNodes)
+	fmt.Printf("  absolute accuracy %d/%d tiles\n  %s\n\n", anchAbs, len(truth), anchored.SearchSummary())
 	fmt.Printf("anchored map (absolute die coordinates):\n%s", anchored.Render())
 }

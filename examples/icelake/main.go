@@ -24,5 +24,5 @@ func main() {
 	fmt.Printf("OS core ID → CHA ID: %v\n", res.OSToCHA)
 	fmt.Println("(note the ascending CHA order — a different firmware rule than Skylake's mod-4 groups)")
 	fmt.Printf("\nrecovered map (OS/CHA; \"-/n\" are LLC-only tiles):\n%s", res.Render())
-	fmt.Printf("\nILP search: optimal=%v, %d nodes\n", res.Optimal, res.SolverNodes)
+	fmt.Printf("\nreconstruction: %s\n", res.SearchSummary())
 }

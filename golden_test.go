@@ -50,8 +50,7 @@ type goldenMap struct {
 // (SKU, seed, plan) combination share one run, which maps the instance on
 // its first call and returns that result to every later one.
 func goldenCorpus() (keys []string, run map[string]func() (goldenMap, error)) {
-	skus := []*machine.SKU{machine.SKU8124M, machine.SKU8259CL, machine.SKU6354}
-	seeds := []int64{3, 11}
+	skus, seeds := goldenSKUs, goldenSeeds
 	workers := []int{1, 4}
 	plans := []bool{true, false}
 
@@ -77,9 +76,20 @@ func goldenCorpus() (keys []string, run map[string]func() (goldenMap, error)) {
 	return keys, run
 }
 
+// The corpus's SKUs and survey seeds.
+var (
+	goldenSKUs  = []*machine.SKU{machine.SKU8124M, machine.SKU8259CL, machine.SKU6354}
+	goldenSeeds = []int64{3, 11}
+)
+
+// goldenMachine generates the corpus instance of (sku, seed).
+func goldenMachine(sku *machine.SKU, seed int64) *machine.Machine {
+	return machine.New(sku, sku.Pattern(int(seed)%3), machine.Config{Seed: seed})
+}
+
 // goldenRun maps one corpus instance.
 func goldenRun(sku *machine.SKU, seed int64, planned bool) (goldenMap, error) {
-	m := machine.New(sku, sku.Pattern(int(seed)%3), machine.Config{Seed: seed})
+	m := goldenMachine(sku, seed)
 	die := coremap.DieInfo{Rows: sku.Rows, Cols: sku.Cols, IMC: sku.IMC}
 	res, err := coremap.MapMachine(context.Background(), m, die, coremap.Options{
 		Probe:         probe.Options{Seed: seed},

@@ -16,12 +16,18 @@ type AccuracyResult struct {
 	// ExactRate is the fraction of instances whose recovered map equals
 	// ground truth up to the inherent mirror/translation symmetry.
 	ExactRate float64
+	// AmbiguousRate is the fraction of instances whose observations admit
+	// more than one placement up to the symmetries (Result.Ambiguous):
+	// the packing objective chose among them, so these are the maps that
+	// can be inexact.
+	AmbiguousRate float64
 	// MeanTileAccuracy is the mean fraction of tiles on their true cell.
 	MeanTileAccuracy float64
 	// MeanRelative is the mean pairwise order agreement (1.0 = every
 	// relative position correct even when vacant rows compact).
 	MeanRelative float64
-	// MeanSolverNodes is the mean branch-and-bound effort.
+	// MeanSolverNodes is the mean branch-and-bound effort (0 for maps
+	// picked from the planner's survivors, so near 0 on planned surveys).
 	MeanSolverNodes float64
 	// LstopoAccuracy is the fraction of consecutive-OS-ID pairs that are
 	// physically adjacent (the lstopo neighbour heuristic's hit rate).
@@ -58,6 +64,9 @@ func Accuracy(ctx context.Context, cfg Config) ([]AccuracyResult, error) {
 			if exact {
 				res.ExactRate++
 			}
+			if in.Result.Ambiguous {
+				res.AmbiguousRate++
+			}
 			res.MeanTileAccuracy += float64(correct) / float64(len(tr))
 			res.MeanRelative += locate.RelativeScore(in.Result.Pos, tr)
 			res.MeanSolverNodes += float64(in.Result.SolverNodes)
@@ -67,6 +76,7 @@ func Accuracy(ctx context.Context, cfg Config) ([]AccuracyResult, error) {
 		}
 		fn := float64(len(insts))
 		res.ExactRate /= fn
+		res.AmbiguousRate /= fn
 		res.MeanTileAccuracy /= fn
 		res.MeanRelative /= fn
 		res.MeanSolverNodes /= fn
@@ -75,8 +85,8 @@ func Accuracy(ctx context.Context, cfg Config) ([]AccuracyResult, error) {
 		res.LatencyAmbiguity /= fn
 		out = append(out, res)
 		cfg.printf("%s:\n", res.SKU)
-		cfg.printf("  pipeline: exact %.0f%%, tile accuracy %.3f, relative order %.3f, solver nodes %.0f\n",
-			res.ExactRate*100, res.MeanTileAccuracy, res.MeanRelative, res.MeanSolverNodes)
+		cfg.printf("  pipeline: exact %.0f%%, ambiguous %.0f%%, tile accuracy %.3f, relative order %.3f, solver nodes %.0f\n",
+			res.ExactRate*100, res.AmbiguousRate*100, res.MeanTileAccuracy, res.MeanRelative, res.MeanSolverNodes)
 		cfg.printf("  baselines: lstopo neighbour hit rate %.3f, pattern generalization %.3f, latency ambiguity %.1f positions\n\n",
 			res.LstopoAccuracy, res.PatternGenAccuracy, res.LatencyAmbiguity)
 	}

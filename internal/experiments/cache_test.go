@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -69,11 +69,22 @@ func TestSurveyCacheReuse(t *testing.T) {
 // TestSurveyLocateCacheMirrorsPatterns: within one survey, the locate
 // layer solves once per distinct observed pattern — the Table II link.
 // Instances sharing a fusing pattern produce identical observations, so
-// solves == unique patterns and hits+coalesced == the rest.
+// solves == unique patterns and hits+coalesced == the rest. Only solves
+// go through the cache, so the property is checked on an exhaustive
+// (NoPlan) survey; a planned survey picks every map from its planner's
+// survivors and must leave the cache untouched.
 func TestSurveyLocateCacheMirrorsPatterns(t *testing.T) {
 	const n = 12
+	planned := NewCaches()
+	if _, err := survey(context.Background(), machine.SKU8175M, n, Config{Seed: 7, Caches: planned}); err != nil {
+		t.Fatal(err)
+	}
+	if st := planned.Stats().Locate; st.Total() != 0 {
+		t.Errorf("planned survey looked up the locate cache %d times, want 0 (every map picked)", st.Total())
+	}
+
 	caches := NewCaches()
-	insts, err := survey(context.Background(), machine.SKU8175M, n, Config{Seed: 7, Caches: caches})
+	insts, err := survey(context.Background(), machine.SKU8175M, n, Config{Seed: 7, Caches: caches, NoPlan: true})
 	if err != nil {
 		t.Fatal(err)
 	}

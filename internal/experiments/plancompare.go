@@ -27,16 +27,41 @@ type PlanCompareResult struct {
 	// remaining experiment could split the surviving placement set
 	// (rather than by running out of candidates).
 	Converged bool
+	// Candidates is the planned map's candidate count (0 when it was
+	// solved rather than picked from the survivors).
+	Candidates int
+	// OpsGated marks the instance the host-operation gate applies to:
+	// the paper's Table I SKU. The Ice Lake instance is the claim
+	// workload for the survivor pick; it is gated on identity and
+	// convergence only.
+	OpsGated bool
 }
 
 // PlanCompare runs the adaptive and the exhaustive survey back to back
 // on one fresh instance of the paper's 28-core Table I SKU (8259CL) and
-// reports the host-operation costs, whether the maps agree byte for
-// byte, and whether the planner converged. It is the CI smoke check for
-// the planner's two contracts: identical answers, fewer operations.
-func PlanCompare(ctx context.Context, cfg Config) (*PlanCompareResult, error) {
+// one of the 8×6-grid Ice Lake 6354, and reports per instance the
+// host-operation costs, whether the maps agree byte for byte, and
+// whether the planner converged. It is the CI smoke check for the
+// planner's two contracts: identical answers, fewer operations. The
+// planned map is picked from the planner's survivor set and the
+// exhaustive one solved, so identity also cross-checks the pick against
+// the solver.
+func PlanCompare(ctx context.Context, cfg Config) ([]*PlanCompareResult, error) {
 	cfg = cfg.withDefaults()
-	sku := machine.SKU8259CL
+	var out []*PlanCompareResult
+	for _, sku := range []*machine.SKU{machine.SKU8259CL, machine.SKU6354} {
+		r, err := planCompare(ctx, cfg, sku)
+		if err != nil {
+			return nil, err
+		}
+		r.OpsGated = sku == machine.SKU8259CL
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// planCompare compares the two surveys on one fresh instance of sku.
+func planCompare(ctx context.Context, cfg Config, sku *machine.SKU) (*PlanCompareResult, error) {
 	m := machine.Generate(sku, 0, machine.Config{Seed: cfg.Seed})
 	reg := obs.RegistryFrom(ctx)
 
@@ -70,11 +95,12 @@ func PlanCompare(ctx context.Context, cfg Config) (*PlanCompareResult, error) {
 		Identical: reflect.DeepEqual(planned.Pos, exhaustive.Pos) &&
 			reflect.DeepEqual(planned.OSToCHA, exhaustive.OSToCHA) &&
 			planned.Anchored == exhaustive.Anchored,
+		Candidates: planned.Candidates,
 	}
 	if exhaustiveOps > 0 {
 		out.Ratio = float64(plannedOps) / float64(exhaustiveOps)
 	}
-	cfg.printf("Planner vs exhaustive on %s: %d vs %d host ops (ratio %.3f), identical=%v, converged=%v\n",
-		out.SKU, out.PlannedOps, out.ExhaustiveOps, out.Ratio, out.Identical, out.Converged)
+	cfg.printf("Planner vs exhaustive on %s: %d vs %d host ops (ratio %.3f), identical=%v, converged=%v, candidates=%d\n",
+		out.SKU, out.PlannedOps, out.ExhaustiveOps, out.Ratio, out.Identical, out.Converged, out.Candidates)
 	return out, nil
 }

@@ -20,6 +20,15 @@
 // Tiles are additionally kept from overlapping by lazily adding pairwise
 // separation disjunctions — only for the (rare, LLC-only-tile) pairs the
 // relaxed solution actually collapses, which keeps the base model small.
+//
+// A planned survey usually makes the solve unnecessary. A converged
+// internal/plan planner holds every placement that satisfies these
+// constraints with all-distinct tiles (Input.Survivors), and the
+// solver's answer is the member with the smallest packing objective,
+// ties broken by the lexicographic order of positions. Reconstruct then
+// picks that member in one scan (pick.go) instead of building and
+// solving the model. Exhaustive (NoPlan) surveys, planner fallbacks and
+// surveys that never materialized the set still solve.
 package locate
 
 import (
@@ -64,6 +73,15 @@ type Input struct {
 	// memory-anchored entries; anchored reconstructions come out in
 	// absolute die coordinates (no mirror or translation ambiguity).
 	IMCPositions []mesh.Coord
+	// Survivors, when non-empty, is the complete set of placements
+	// (CHA → coordinate) with all-distinct tiles that satisfy this
+	// reconstruction's constraints over Observations under the same
+	// PaperExactBounds — a converged planner's survivor set
+	// (probe.Result.Survivors). Reconstruct then picks its answer from
+	// the set instead of solving (see pick.go); the answer is the one
+	// the solver would return. The slice is only read. It does not
+	// participate in Fingerprint: a pick never reaches the Cache.
+	Survivors [][]mesh.Coord
 }
 
 // Options tunes reconstruction.
@@ -98,12 +116,21 @@ type Map struct {
 	// map in absolute die coordinates (compare with ScoreAbsolute; an
 	// unanchored map is only defined up to mirror/translation).
 	Anchored bool
-	// Optimal reports whether the ILP proved optimality.
+	// Optimal reports whether the map is proven optimal: by the ILP, or
+	// by a pick over the complete survivor set.
 	Optimal bool
-	// Nodes is the total branch-and-bound nodes over all solve rounds.
+	// Nodes is the total branch-and-bound nodes over all solve rounds
+	// (0 for a pick).
 	Nodes int
 	// SeparationRounds is how many lazy no-overlap rounds were needed.
 	SeparationRounds int
+	// Candidates is, for a map picked from Input.Survivors, the number
+	// of distinct placements the observations admit: counted up to
+	// mirror and translation (Canonical) on unanchored maps, as raw
+	// placements on anchored ones. 1 means the observations pin the map
+	// down; more means it is ambiguous and the objective chose. 0 when
+	// the map was solved.
+	Candidates int
 }
 
 // ErrUnsatisfiable reports that no placement explains the observations —
@@ -341,11 +368,12 @@ func (b *builder) branchOrder() []ilp.Var {
 	return out
 }
 
-// Reconstruct solves the placement problem. With Options.Cache set, the
-// solve is memoized under the input's canonical fingerprint. Cancelling
-// ctx stops the ILP search at the next node boundary; when an incumbent
-// placement existed, it is returned as a best-effort Map alongside an
-// ErrInterrupted error.
+// Reconstruct solves the placement problem. With Input.Survivors set, it
+// picks the answer from the survivor set and never solves. Otherwise,
+// with Options.Cache set, the solve is memoized under the input's
+// canonical fingerprint. Cancelling ctx stops the ILP search at the next
+// node boundary; when an incumbent placement existed, it is returned as
+// a best-effort Map alongside an ErrInterrupted error.
 func Reconstruct(ctx context.Context, in Input, opts Options) (*Map, error) {
 	if in.Backend != topo.KindMesh {
 		return nil, cmerr.New(cmerr.Permanent, "locate",
@@ -357,6 +385,9 @@ func Reconstruct(ctx context.Context, in Input, opts Options) (*Map, error) {
 	}
 	if err := checkIndices(in); err != nil {
 		return nil, err
+	}
+	if len(in.Survivors) > 0 {
+		return pick(ctx, in)
 	}
 	if opts.Cache != nil {
 		return opts.Cache.reconstruct(ctx, in, opts)
@@ -390,6 +421,7 @@ func rawConstraintCount(in Input) int64 {
 // reconstruct is the uncached solve path; in has been validated.
 func reconstruct(ctx context.Context, in Input, opts Options) (result *Map, err error) {
 	ctx, span := obs.Start(ctx, "locate/reconstruct")
+	span.SetAttrStr("source", "solve")
 	reg := obs.RegistryFrom(ctx)
 	clock := obs.From(ctx).Clock()
 	reconStart := clock.Now()
@@ -417,13 +449,7 @@ func reconstruct(ctx context.Context, in Input, opts Options) (result *Map, err 
 // re-solves, for at most Options.MaxSeparationRounds rounds.
 func (b *builder) solve(ctx context.Context, opts Options) (*Map, error) {
 	in := b.in
-	anchored := false
-	for _, o := range in.Observations {
-		if o.Anchored {
-			anchored = true
-			break
-		}
-	}
+	anchored := isAnchored(in.Observations)
 	maxRounds := opts.MaxSeparationRounds
 	if maxRounds == 0 {
 		maxRounds = 8

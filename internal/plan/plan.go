@@ -28,14 +28,25 @@
 // # Correctness contract
 //
 // Survivors are filtered by *constraint* consistency, never by predicted
-// equality: the locate encoding is necessary-but-not-sufficient (it does
-// not, for example, forbid on-path tiles missing from an observer list),
-// so the surviving set is always a superset of the final ILP's feasible
-// placements and can never exclude the exhaustive survey's optimum. The
-// convergence test — every unmeasured candidate's predicted observation
-// is identical across all survivors — then guarantees that measuring the
-// rest would add constraints every survivor already satisfies, which is
-// what makes the planned map byte-identical to the exhaustive one.
+// equality. The materialized set is the complete enumeration of the
+// model rows plus the Accept hook, and Observe filters it with
+// consistent; both mirror locate.addObservation row for row (the
+// all-distinct condition standing in for locate's lazy separation). So
+// at every point the survivors are exactly the placements with
+// all-distinct tiles that satisfy the reconstruction's constraints over
+// the observations in hand — its feasible set, no more and no less.
+//
+// Two consequences. First, the convergence test — every unmeasured
+// candidate's predicted observation is identical across all survivors —
+// guarantees that measuring the rest would add constraints every
+// survivor already satisfies, so the feasible set, and with it the map,
+// is the exhaustive survey's. Second, the map can be read off the set:
+// locate's solver returns the objective-minimal placement, ties broken
+// by the lexicographic order of positions, and its lazy-separation
+// optimum is distinct and optimal over a superset of the distinct
+// placements, hence also the objective-then-lex minimum of the distinct
+// set. locate.Reconstruct therefore picks that minimum from Survivors
+// instead of solving, with the same result.
 //
 // Degradation is monotone toward the exhaustive survey: candidates whose
 // experiments fail permanently are dropped (no observation, no filter),
@@ -330,6 +341,15 @@ func (pl *Planner) Stats() Stats {
 		Fallback:     pl.fallback,
 	}
 }
+
+// Survivors returns every placement (CHA → coordinate) consistent with
+// the observations so far, or nil when the set was never materialized
+// or the planner fell back to the exhaustive sweep. Once the survey is
+// over it is the exact feasible set of the reconstruction (see the
+// package comment), so the reconstruction can pick its answer from it
+// instead of solving. The slice is planner-owned and read-only; a later
+// Observe filters it in place.
+func (pl *Planner) Survivors() [][]mesh.Coord { return pl.survivors }
 
 // NextBatch returns the pool indices of the next experiments to run, or
 // an empty batch when the survey is over (converged, or no candidates

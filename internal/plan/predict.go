@@ -13,10 +13,12 @@ package plan
 // for row, the linear constraints locate.addObservation derives from an
 // observation — a necessary-but-not-sufficient encoding (it never
 // forbids an on-path tile missing from an observer list). Filtering
-// survivors by this weaker test keeps the surviving set a superset of
-// the final ILP's feasible region, which the byte-identity argument in
-// the package comment depends on. Keep it in lockstep with
-// locate.addObservation.
+// survivors by exactly this test keeps the surviving set equal to the
+// reconstruction's feasible set: a stricter filter (prediction
+// equality) could drop the solver's optimum, a looser one could admit a
+// placement the solver rejects, and either would make the survivor pick
+// of locate.Reconstruct disagree with its solve (package comment). Keep
+// it in lockstep with locate.addObservation.
 
 import (
 	"coremap/internal/mesh"

@@ -169,6 +169,8 @@ func (r *Result) clone() *Result {
 		Planned:   r.Planned,
 		Completed: r.Completed,
 		Degraded:  r.Degraded,
+		// Survivors is read-only for every holder, so clones share it.
+		Survivors: r.Survivors,
 	}
 	if r.CoreCHAs != nil {
 		out.CoreCHAs = append([]int(nil), r.CoreCHAs...)

@@ -33,11 +33,13 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"time"
 
 	"coremap/internal/cache"
 	"coremap/internal/cmerr"
 	"coremap/internal/hostif"
+	"coremap/internal/mesh"
 	"coremap/internal/msr"
 	"coremap/internal/obs"
 	"coremap/internal/plan"
@@ -209,6 +211,13 @@ type Result struct {
 	// Degraded reports that the measurement is incomplete: at least one
 	// CPU is unmapped or at least one experiment failed permanently.
 	Degraded bool
+	// Survivors is a planned survey's final survivor set
+	// (plan.Planner.Survivors): every placement, CHA → coordinate,
+	// consistent with Observations under the planner's options. Nil for
+	// exhaustive surveys and for planned ones that never materialized
+	// the set or fell back. Read-only: a cached Result shares it with
+	// every clone.
+	Survivors [][]mesh.Coord
 }
 
 // Coverage is the fraction of planned step-2 experiments that produced an
@@ -1382,6 +1391,10 @@ func (p *Prober) runPlanned(ppin uint64, ro RunOptions) (*Result, error) {
 		roundCost.Observe(int64(len(batch)))
 		roundUS.Observe(p.clock.Now().Sub(roundStart).Microseconds())
 	}
+	// A right-sized copy: the planner's slice keeps the capacity of the
+	// set it materialized (up to AmbiguityCap), which a cached Result
+	// would otherwise pin for its lifetime.
+	res.Survivors = slices.Clone(pm.Survivors())
 	st := pm.Stats()
 	p.reg.Gauge("plan/rounds").Set(int64(st.Rounds))
 	p.reg.Gauge("plan/enumerations").Set(int64(st.Enumerations))

@@ -35,7 +35,7 @@ func identity(r *coremap.Result) mapIdentity {
 }
 
 func TestPlannedSurveyMatchesExhaustive(t *testing.T) {
-	skus := []*machine.SKU{machine.SKU8124M, machine.SKU8175M, machine.SKU8259CL}
+	skus := []*machine.SKU{machine.SKU8124M, machine.SKU8175M, machine.SKU8259CL, machine.SKU6354}
 	for _, sku := range skus {
 		for seed := int64(1); seed <= 2; seed++ {
 			m := machine.Generate(sku, int(seed)%4, machine.Config{Seed: seed})
