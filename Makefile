@@ -14,20 +14,25 @@ test:
 	go test ./... -timeout 1800s
 
 # Race-check the concurrent parts of the tree: the survey worker pools,
-# the covert-channel harness, the topology backends, the adaptive planner
-# and the telemetry layer, plus the ILP package whose solver they all call
+# the covert-channel harness, the adaptive planner and the telemetry
+# layer, plus the ILP package whose solver they all call
 # concurrently — and the goroutine-leak check over cancelled solves
 # (mirrors the CI race job).
 race:
-	go test -race ./internal/ilp/ ./internal/experiments/ ./internal/covert/ ./internal/topo/... ./internal/plan/ ./internal/obs/ -timeout 1800s
+	go test -race ./internal/ilp/ ./internal/experiments/ ./internal/covert/ ./internal/plan/ ./internal/obs/ -timeout 1800s
 	go test -race -run 'TestSolveCancel|TestMapMachineCancel' -count=1 ./internal/ilp/ . -timeout 300s
 
-# Solve and Enumerate against exhaustive enumeration, and the resumable
-# Enumerator against fresh enumeration, beyond the seed corpora (mirrors
-# the fuzz steps of the CI race job).
+# Solve and Enumerate against exhaustive enumeration, the resumable
+# Enumerator against fresh enumeration, the observation model against
+# itself, and the canonical form and cache fingerprint against their
+# invariants, beyond the seed corpora (mirrors the fuzz steps of the CI
+# race job).
 fuzz:
 	go test -run XXX -fuzz FuzzSolveBruteForce -fuzztime 30s ./internal/ilp
 	go test -run XXX -fuzz FuzzEnumerateResume -fuzztime 30s ./internal/ilp
+	go test -run XXX -fuzz FuzzObservationModel -fuzztime 30s ./internal/route
+	go test -run XXX -fuzz FuzzCanonical -fuzztime 30s ./internal/locate
+	go test -run XXX -fuzz FuzzFingerprintOrder -fuzztime 30s ./internal/locate
 
 # Mirrors the lint jobs of .github/workflows/ci.yml: go vet, staticcheck
 # (skipped with a notice when the binary is absent — install it with
@@ -49,12 +54,9 @@ ci: all race fuzz smoke lint
 
 # The CI smoke job: the full quick reproduction must exit 0 (this
 # includes plancompare, the adaptive-planner acceptance gate, and the
-# mesh quick survey), then the ring and noc backends must each pass the
-# same quick-survey gate (exact, proven, deterministic placements).
+# quick survey's exact, proven, deterministic map).
 smoke:
 	go run ./cmd/experiments -exp all -quick
-	go run ./cmd/experiments -exp quick -topology ring
-	go run ./cmd/experiments -exp quick -topology noc
 
 # The planner acceptance gate alone: planned vs exhaustive survey on one
 # 8259CL and one 6354 instance — byte-identical maps, and ≤ 1/3 of the

@@ -14,6 +14,7 @@ import (
 	"coremap/internal/machine"
 	"coremap/internal/mesh"
 	"coremap/internal/probe"
+	"coremap/internal/route"
 )
 
 func anchoredMap(t *testing.T, sku *machine.SKU, idx int, seed int64, anchors bool) (*machine.Machine, *coremap.Result) {
@@ -106,7 +107,7 @@ func TestAnchorsImproveHeavilyFusedParts(t *testing.T) {
 // TestAnchoredRejectsMissingIMCInfo: anchored observations without IMC
 // positions must fail loudly, not silently mis-place tiles.
 func TestAnchoredRejectsMissingIMCInfo(t *testing.T) {
-	obs := []probe.Observation{{SrcCHA: -1, DstCHA: 0, Anchored: true, SrcIMC: 1, Down: []int{0}}}
+	obs := []route.Observation{{SrcCHA: -1, DstCHA: 0, Anchored: true, SrcIMC: 1, Down: []int{0}}}
 	_, err := locate.Reconstruct(context.Background(), locate.Input{NumCHA: 2, Rows: 3, Cols: 3, Observations: obs}, locate.Options{})
 	if err == nil {
 		t.Fatal("anchored observation without IMC positions accepted")

@@ -23,8 +23,6 @@ import (
 	"coremap/internal/obs"
 	"coremap/internal/probe"
 	"coremap/internal/thermal"
-	"coremap/internal/topo"
-	_ "coremap/internal/topo/backends"
 )
 
 func benchConfig(b *testing.B) experiments.Config {
@@ -327,36 +325,6 @@ func BenchmarkPipeline_Anchored(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkPipeline_Topology runs each topology backend's quick survey —
-// the seeded measure-emit-solve pass the CI smoke matrix gates on — and
-// reports its host-operation cost. mesh is the paper's full MSR/PMON
-// pipeline behind the topo.Backend interface; ring and noc exercise the
-// alternative substrates' own emitters and solvers.
-func BenchmarkPipeline_Topology(b *testing.B) {
-	for _, name := range topo.Names() {
-		backend, err := topo.Lookup(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("topology="+name, func(b *testing.B) {
-			tel := obs.New(obs.Config{})
-			ctx := obs.With(context.Background(), tel)
-			var hostOps int64
-			for i := 0; i < b.N; i++ {
-				res, err := backend.QuickSurvey(ctx, "", int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Exact || !res.Optimal {
-					b.Fatalf("seed %d: exact=%v optimal=%v", i+1, res.Exact, res.Optimal)
-				}
-				hostOps += res.HostOps
-			}
-			b.ReportMetric(float64(hostOps)/float64(b.N), "host-ops/map")
-		})
 	}
 }
 

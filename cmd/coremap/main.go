@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	coremap [-topology mesh|ring|noc] [-sku name] [-pattern n] [-seed n] [-timeout d] [-paper-faithful] [-check] [-json] [-nocache]
+//	coremap [-sku name] [-pattern n] [-seed n] [-timeout d] [-paper-faithful] [-check] [-json] [-nocache]
 //	        [-noplan] [-ambiguity-cap n]
 //	        [-trace file] [-metrics-out file] [-debug-addr addr] [-report]
 //
@@ -12,12 +12,6 @@
 // pipeline through the hostif.Host abstraction, and prints the OS-core-ID ↔
 // CHA-ID mapping plus the reconstructed map. With -check it also scores the
 // reconstruction against the simulator's ground truth.
-//
-// -topology selects the interconnect backend. The default mesh drives the
-// full MSR/PMON pipeline described above with every flag available; ring
-// (slotted-ring contention ordering) and noc (harvested NoC grid with
-// anchor tiles) run the selected backend's seeded quick survey instead,
-// honoring -sku (the backend's own catalog), -seed and -json.
 //
 // By default the survey is planned adaptively: experiments run in batches
 // chosen to split the set of placements consistent with what has been
@@ -42,8 +36,6 @@ import (
 	"coremap/internal/mesh"
 	"coremap/internal/plan"
 	"coremap/internal/probe"
-	"coremap/internal/topo"
-	_ "coremap/internal/topo/backends"
 )
 
 // tel is package-level so fatal can flush the flight recorder before the
@@ -52,8 +44,7 @@ var tel *cli.Telemetry
 
 func main() {
 	var (
-		topology      = flag.String("topology", "mesh", "interconnect backend: mesh, ring or noc")
-		skuName       = flag.String("sku", "", "SKU from the backend's catalog (mesh default 8259CL: 8124M, 8175M, 8259CL or 6354)")
+		skuName       = flag.String("sku", "", "SKU: 8124M, 8175M, 8259CL (default) or 6354")
 		pattern       = flag.Int("pattern", 0, "fusing-pattern index of the instance")
 		seed          = flag.Int64("seed", 1, "instance seed (PPIN, slice hash, noise)")
 		paperFaithful = flag.Bool("paper-faithful", false, "use only the paper's core-pair experiments")
@@ -80,13 +71,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "coremap:", err)
 		}
 	}()
-
-	if *topology != "mesh" {
-		// Non-mesh substrates have no MSR/PMON pipeline; run the
-		// backend's seeded quick survey through the registry instead.
-		runBackendSurvey(ctx, *topology, *skuName, *seed, *asJSON)
-		return
-	}
 
 	sku, err := findSKU(*skuName)
 	if err != nil {
@@ -185,32 +169,6 @@ func findSKU(name string) (*machine.SKU, error) {
 		return sku, nil
 	}
 	return nil, fmt.Errorf("unknown SKU %q (use 8124M, 8175M, 8259CL or 6354)", name)
-}
-
-// runBackendSurvey drives a non-mesh topology backend: resolve it from
-// the registry, survey one seeded instance of the requested SKU (""=the
-// backend's default) and print the outcome.
-func runBackendSurvey(ctx context.Context, name, sku string, seed int64, asJSON bool) {
-	b, err := topo.Lookup(name)
-	if err != nil {
-		fatal(err)
-	}
-	res, err := b.QuickSurvey(ctx, sku, seed)
-	if err != nil {
-		fatal(err)
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	fmt.Printf("%s backend, SKU %s (seed %d)\n\n", res.Backend, res.SKU, seed)
-	fmt.Printf("agents=%d observations=%d host_ops=%d\n", res.Agents, res.Observations, res.HostOps)
-	fmt.Printf("exact=%v optimal=%v\n\n", res.Exact, res.Optimal)
-	fmt.Printf("Recovered placement:\n%s", res.Rendered)
 }
 
 // loadRegistry opens the registry file; a missing file starts empty and a

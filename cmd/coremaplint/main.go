@@ -1,9 +1,9 @@
 // Command coremaplint is the repository's invariant linter: a
 // multichecker that runs the internal/analysis suite — detrange,
-// cmerrcheck, ctxflow, hostsafe, poolsafe, gosync, lockcheck, toposafe
+// cmerrcheck, ctxflow, hostsafe, poolsafe, gosync, lockcheck, obscheck
 // — over go-list package patterns and fails when any determinism,
-// error-taxonomy, context, host-access, memory-reuse or
-// concurrency-safety invariant is violated.
+// error-taxonomy, context, host-access, memory-reuse,
+// concurrency-safety or telemetry-naming invariant is violated.
 //
 // Usage:
 //

@@ -7,7 +7,7 @@
 //	                 verify|accuracy|defense|ecc|modulation|ablations|
 //	                 plancompare|quick|all
 //	            [-n instances] [-bits payload] [-seed n] [-quick] [-nocache]
-//	            [-noplan] [-topology mesh|ring|noc]
+//	            [-noplan]
 //
 // Full-size runs use the paper's parameters (100 instances per model,
 // 10 Kbit payloads); -quick shrinks both for a fast pass. Survey
@@ -19,11 +19,9 @@
 // operation counts move. plancompare runs both modes back to back on one
 // 8259CL and one 6354 chip and exits non-zero unless each planned survey
 // converged to a byte-identical map, the 8259CL one for at most one
-// third of the exhaustive host operations (the CI smoke gate). quick surveys one seeded instance of
-// the -topology backend's default SKU twice and exits non-zero unless
-// the placement is exact, proven, and deterministic — the per-backend
-// smoke gate; the paper-reproduction experiments themselves are
-// mesh-only and ignore -topology.
+// third of the exhaustive host operations (the CI smoke gate). quick maps
+// one seeded, memory-anchored 8259CL instance twice and exits non-zero
+// unless the map is exact, proven, and deterministic.
 //
 // The shared telemetry flags (-trace, -metrics-out, -debug-addr, -report)
 // emit the run's span trace, metrics snapshot, live debug endpoint and
@@ -45,16 +43,15 @@ var tel *cli.Telemetry
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run")
-		n        = flag.Int("n", 0, "instances per model (0 = paper's 100)")
-		bits     = flag.Int("bits", 0, "covert payload bits (0 = paper's 10000)")
-		seed     = flag.Int64("seed", 1, "survey seed")
-		quick    = flag.Bool("quick", false, "shrink surveys and payloads")
-		noCache  = flag.Bool("nocache", false, "disable the measurement/reconstruction caches (uncached baseline)")
-		noPlan   = flag.Bool("noplan", false, "disable the adaptive measurement planner (exhaustive all-pairs survey)")
-		topology = flag.String("topology", "mesh", "interconnect backend for -exp quick (mesh, ring or noc)")
-		csvDir   = flag.String("csv", "", "directory to also write plot-ready CSV files into")
-		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (exit code 2)")
+		exp     = flag.String("exp", "all", "experiment to run")
+		n       = flag.Int("n", 0, "instances per model (0 = paper's 100)")
+		bits    = flag.Int("bits", 0, "covert payload bits (0 = paper's 10000)")
+		seed    = flag.Int64("seed", 1, "survey seed")
+		quick   = flag.Bool("quick", false, "shrink surveys and payloads")
+		noCache = flag.Bool("nocache", false, "disable the measurement/reconstruction caches (uncached baseline)")
+		noPlan  = flag.Bool("noplan", false, "disable the adaptive measurement planner (exhaustive all-pairs survey)")
+		csvDir  = flag.String("csv", "", "directory to also write plot-ready CSV files into")
+		timeout = flag.Duration("timeout", 0, "abort the run after this duration (exit code 2)")
 	)
 	tel = cli.TelemetryFlags()
 	flag.Parse()
@@ -74,7 +71,6 @@ func main() {
 		Quick:       *quick,
 		NoCache:     *noCache,
 		NoPlan:      *noPlan,
-		Topology:    *topology,
 	}
 	if !*noCache {
 		// One cache set across every experiment of the run, so e.g.
@@ -179,15 +175,15 @@ func main() {
 			if err != nil {
 				return err
 			}
-			// The per-backend CI smoke gate: the survey must recover the
-			// seeded instance exactly, prove it, and reproduce it.
+			// The CI smoke gate: the survey must recover the seeded
+			// instance exactly, prove it, and reproduce it.
 			switch {
-			case !r.Survey.Exact:
-				return fmt.Errorf("quick: %s placement is not exact", r.Survey.Backend)
-			case !r.Survey.Optimal:
-				return fmt.Errorf("quick: %s solver did not prove the placement", r.Survey.Backend)
+			case !r.Exact:
+				return fmt.Errorf("quick: %s map is not exact", r.SKU)
+			case !r.Map.Optimal:
+				return fmt.Errorf("quick: %s map is not proven optimal", r.SKU)
 			case !r.Deterministic:
-				return fmt.Errorf("quick: %s survey is not deterministic", r.Survey.Backend)
+				return fmt.Errorf("quick: %s survey is not deterministic", r.SKU)
 			}
 			return nil
 		},

@@ -35,7 +35,6 @@ import (
 	"coremap/internal/plan"
 	"coremap/internal/probe"
 	"coremap/internal/stats"
-	"coremap/internal/topo"
 )
 
 // DieInfo is the (publicly documented) tile-grid geometry of a CPU family.
@@ -59,12 +58,6 @@ var (
 
 // Options tunes the pipeline.
 type Options struct {
-	// Topology selects the interconnect backend. MapMachine drives the
-	// MSR/PMON mesh pipeline and accepts only topo.KindMesh (the zero
-	// value); the ring and harvested-NoC substrates are surveyed
-	// through their topo.Backend implementations instead (see
-	// internal/topo and the -topology flag of cmd/coremap).
-	Topology topo.Kind
 	// Probe tunes the measurement stage.
 	Probe probe.Options
 	// Locate tunes the ILP reconstruction.
@@ -139,7 +132,6 @@ func MapMachine(ctx context.Context, h hostif.Host, die DieInfo, opts Options) (
 		ctx = context.Background()
 	}
 	ctx, span := obs.Start(ctx, "coremap/map-machine")
-	span.SetAttrStr("topology", opts.Topology.String())
 	defer func() {
 		if res != nil {
 			span.SetAttr("solver_nodes", int64(res.SolverNodes)).
@@ -147,11 +139,6 @@ func MapMachine(ctx context.Context, h hostif.Host, die DieInfo, opts Options) (
 		}
 		span.End(err)
 	}()
-	if opts.Topology != topo.KindMesh {
-		return nil, cmerr.New(cmerr.Permanent, "coremap",
-			"MapMachine drives the mesh pipeline; survey the %s substrate through its topo.Backend instead",
-			opts.Topology)
-	}
 	if opts.Probe.Plan == nil && !opts.NoPlan {
 		opts.Probe.Plan = &plan.Options{
 			Rows:             die.Rows,
@@ -174,7 +161,6 @@ func MapMachine(ctx context.Context, h hostif.Host, die DieInfo, opts Options) (
 	}
 	measErr := err // nil, or a Degraded below-coverage-floor error with a usable partial
 	mp, err := locate.Reconstruct(ctx, locate.Input{
-		Backend:      opts.Topology,
 		NumCHA:       meas.NumCHA,
 		Rows:         die.Rows,
 		Cols:         die.Cols,

@@ -1,11 +1,10 @@
 package coremap_test
 
-// Refactor-transparency pin: the mesh backend must keep producing maps
-// byte-identical to the pre-refactor pipeline. The goldens in
-// testdata/mesh_golden.json were captured from the tree *before* the
-// topology-backend extraction (PR 7) across the determinism corpus —
-// catalog SKUs × survey seeds × ILP worker counts × planner on/off — and
-// every future change to the mesh path must reproduce them exactly. The
+// Refactor-transparency pin: the pipeline must keep producing maps
+// byte-identical to the goldens in testdata/mesh_golden.json, captured
+// across the determinism corpus — catalog SKUs × survey seeds × ILP
+// worker counts × planner on/off — and every future change to the
+// pipeline must reproduce them exactly. The
 // solver is single-threaded, so the workers=1 and workers=4 entries of a
 // (SKU, seed, planner) combination hold the same map, computed once.
 // Regenerate (only when the pipeline semantics intentionally change,

@@ -71,10 +71,6 @@ type Pass struct {
 	// Report delivers one finding. The runner attaches the analyzer
 	// name and applies //lint:allow suppression.
 	Report func(Diagnostic)
-
-	// facts is the run-wide fact store backing the Export/Import fact
-	// methods; see facts.go.
-	facts *factStore
 }
 
 // Reportf reports a formatted finding anchored at pos.

@@ -47,10 +47,8 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 
 // RunWithDeps is Run with real module packages analyzed alongside the
 // fixture: deps names them as load patterns (e.g.
-// "coremap/internal/topo/..."). The runner processes imports before
-// importers, so facts exported while analyzing a dependency are visible
-// to the fixture — this is how fixtures pin cross-package fact flow.
-// Expectations are still collected from the fixture only; a diagnostic
+// "coremap/internal/obs"). Expectations are still collected from the
+// fixture only; a diagnostic
 // on a dependency package fails the test, pinning that the real tree
 // stays clean under the analyzers.
 func RunWithDeps(t *testing.T, dir string, deps []string, analyzers ...*analysis.Analyzer) {

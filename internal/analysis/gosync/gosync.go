@@ -28,11 +28,6 @@
 // (`v := v` above a spawn in a loop): go.mod declares go 1.22, loop
 // variables are per-iteration, and the shadow copy only obscures which
 // variable the goroutine captures.
-//
-// gosync exports facts consumed across import edges: a Spawns object
-// fact on every function whose body (or nested closure) contains a go
-// statement, and a PkgSpawns package fact summing them. toposafe uses
-// them to tell concurrency-exposed packages from single-threaded ones.
 package gosync
 
 import (
@@ -43,20 +38,6 @@ import (
 	"coremap/internal/analysis"
 	"coremap/internal/analysis/cfg"
 )
-
-// Spawns is the object fact exported on every function or method whose
-// body contains a go statement (including inside nested closures): code
-// calling it may run concurrently with the caller's continuation.
-type Spawns struct{ Count int }
-
-// AFact marks Spawns as a fact.
-func (*Spawns) AFact() {}
-
-// PkgSpawns is the package fact summing the package's go statements.
-type PkgSpawns struct{ Goroutines int }
-
-// AFact marks PkgSpawns as a fact.
-func (*PkgSpawns) AFact() {}
 
 // Analyzer is the gosync check.
 var Analyzer = &analysis.Analyzer{
@@ -75,30 +56,11 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	goroutines := 0
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkBodies(pass, fd.Body)
 			}
-			// Count every spawn in the declared function, closures
-			// included, for the facts; join-check each body separately.
-			n := countGoStmts(fd.Body)
-			if n > 0 {
-				goroutines += n
-				if obj := pass.ObjectOf(fd.Name); obj != nil {
-					if err := pass.ExportObjectFact(obj, &Spawns{Count: n}); err != nil {
-						return err
-					}
-				}
-			}
-			checkBodies(pass, fd.Body)
-		}
-	}
-	if goroutines > 0 {
-		if err := pass.ExportPackageFact(&PkgSpawns{Goroutines: goroutines}); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -8,17 +8,12 @@ import (
 // Run applies every analyzer to every package, applies //lint:allow
 // suppression, and returns the surviving diagnostics sorted by position.
 // An error means an analyzer failed internally, not that findings exist.
-//
-// Packages are processed in dependency order (imports before importers)
-// so that facts exported while analyzing a dependency are visible — via
-// Pass.ImportObjectFact / ImportPackageFact — when its importers are
-// analyzed. Analyzers whose Scope does not cover a package are skipped
-// for that package.
+// Analyzers whose Scope does not cover a package are skipped for that
+// package.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	facts := newFactStore()
 	var all []Diagnostic
-	for _, pkg := range dependencyOrder(pkgs) {
-		diags, err := runPackage(pkg, analyzers, facts)
+	for _, pkg := range pkgs {
+		diags, err := runPackage(pkg, analyzers)
 		if err != nil {
 			return nil, err
 		}
@@ -40,37 +35,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return all, nil
 }
 
-// dependencyOrder sorts the loaded packages so that every package
-// follows the loaded packages it imports (directly or transitively).
-// Ties keep the input order, which go list already emits
-// deterministically.
-func dependencyOrder(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	ordered := make([]*Package, 0, len(pkgs))
-	visited := make(map[string]bool, len(pkgs))
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if visited[p.Path] {
-			return
-		}
-		visited[p.Path] = true
-		for _, imp := range p.Types.Imports() {
-			if dep, ok := byPath[imp.Path()]; ok {
-				visit(dep)
-			}
-		}
-		ordered = append(ordered, p)
-	}
-	for _, p := range pkgs {
-		visit(p)
-	}
-	return ordered
-}
-
-func runPackage(pkg *Package, analyzers []*Analyzer, facts *factStore) ([]Diagnostic, error) {
+func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		if !a.Scope.Applies(pkg.Path, pkg.Types.Name()) {
@@ -82,7 +47,6 @@ func runPackage(pkg *Package, analyzers []*Analyzer, facts *factStore) ([]Diagno
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,
-			facts:     facts,
 		}
 		name := a.Name
 		pass.Report = func(d Diagnostic) {

@@ -15,13 +15,9 @@ import (
 	"coremap/internal/analysis/lockcheck"
 	"coremap/internal/analysis/obscheck"
 	"coremap/internal/analysis/poolsafe"
-	"coremap/internal/analysis/toposafe"
 )
 
-// Analyzers is the full lint suite in run order. Order is load-bearing
-// in one place: the runner executes analyzers per package in slice
-// order, and toposafe reads the Spawns facts gosync exports, so gosync
-// must come before toposafe.
+// Analyzers is the full lint suite in run order.
 var Analyzers = []*analysis.Analyzer{
 	detrange.Analyzer,
 	cmerrcheck.Analyzer,
@@ -30,7 +26,6 @@ var Analyzers = []*analysis.Analyzer{
 	poolsafe.Analyzer,
 	gosync.Analyzer,
 	lockcheck.Analyzer,
-	toposafe.Analyzer,
 	obscheck.Analyzer,
 }
 

@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"coremap/internal/analysis"
-	"coremap/internal/analysis/gosync"
-	"coremap/internal/analysis/toposafe"
 )
 
 // goList returns the set of live package paths under pattern, resolved
@@ -80,27 +78,6 @@ func TestRosterCoverage(t *testing.T) {
 		for key, reason := range m {
 			checkExclusion(t, owner, key, reason, pkgs)
 		}
-	}
-}
-
-// TestSuiteOrder pins the one load-bearing ordering: toposafe consumes
-// the Spawns facts gosync exports for the same package, and the runner
-// executes analyzers in slice order, so gosync must precede toposafe.
-func TestSuiteOrder(t *testing.T) {
-	gi, ti := -1, -1
-	for i, a := range Analyzers {
-		switch a {
-		case gosync.Analyzer:
-			gi = i
-		case toposafe.Analyzer:
-			ti = i
-		}
-	}
-	if gi == -1 || ti == -1 {
-		t.Fatalf("suite is missing gosync (%d) or toposafe (%d)", gi, ti)
-	}
-	if gi > ti {
-		t.Errorf("gosync at %d runs after toposafe at %d: toposafe would see no Spawns facts", gi, ti)
 	}
 }
 

@@ -102,10 +102,6 @@ type Config struct {
 	// (The measurement-set ablations always survey exhaustively — see
 	// Ablations.)
 	NoPlan bool
-	// Topology names the interconnect backend the Quick experiment
-	// surveys ("" = mesh). The paper-reproduction experiments (tables,
-	// figures) are mesh-only and ignore it.
-	Topology string
 }
 
 func (c Config) withDefaults() Config {
@@ -232,7 +228,7 @@ func (c Config) locateOptions() locate.Options {
 // surveyStep1 runs only the OS-core-ID ↔ CHA-ID step over a population.
 func surveyStep1(ctx context.Context, sku *machine.SKU, n int, cfg Config) (_ [][]int, err error) {
 	ctx, span := obs.Start(ctx, "experiments/survey-step1")
-	span.SetAttrStr("topology", "mesh").SetAttrStr("sku", sku.Name).SetAttr("instances", int64(n))
+	span.SetAttrStr("sku", sku.Name).SetAttr("instances", int64(n))
 	defer func() { span.End(err) }()
 	obs.RegistryFrom(ctx).Counter("experiments/surveys").Inc()
 
@@ -255,7 +251,7 @@ func surveyStep1(ctx context.Context, sku *machine.SKU, n int, cfg Config) (_ []
 // cache set through both pipeline layers.
 func survey(ctx context.Context, sku *machine.SKU, n int, cfg Config) (_ []Instance, err error) {
 	ctx, span := obs.Start(ctx, "experiments/survey")
-	span.SetAttrStr("topology", "mesh").SetAttrStr("sku", sku.Name).SetAttr("instances", int64(n))
+	span.SetAttrStr("sku", sku.Name).SetAttr("instances", int64(n))
 	defer func() { span.End(err) }()
 	obs.RegistryFrom(ctx).Counter("experiments/surveys").Inc()
 

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"coremap/internal/mesh"
-	"coremap/internal/probe"
+	"coremap/internal/route"
 )
 
 func testInput(rows, cols int) (Input, []mesh.Coord) {
@@ -100,7 +100,7 @@ func TestFingerprintObservationOrderInvariant(t *testing.T) {
 			NumCHA: in.NumCHA,
 			Rows:   in.Rows,
 			Cols:   in.Cols,
-			Observations: append([]probe.Observation(nil),
+			Observations: append([]route.Observation(nil),
 				in.Observations...),
 		}
 		r.Shuffle(len(perm.Observations), func(i, j int) {
@@ -142,7 +142,7 @@ func TestReconstructObservationOrderInvariant(t *testing.T) {
 	}
 	for trial := 0; trial < 3; trial++ {
 		perm := in
-		perm.Observations = append([]probe.Observation(nil), in.Observations...)
+		perm.Observations = append([]route.Observation(nil), in.Observations...)
 		r.Shuffle(len(perm.Observations), func(i, j int) {
 			perm.Observations[i], perm.Observations[j] = perm.Observations[j], perm.Observations[i]
 		})
@@ -190,7 +190,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		},
 		"observation": func() (Input, Options) {
 			m := in
-			m.Observations = append([]probe.Observation(nil), m.Observations...)
+			m.Observations = append([]route.Observation(nil), m.Observations...)
 			m.Observations[0].Up = append([]int{0}, m.Observations[0].Up...)
 			return m, Options{}
 		},
@@ -211,7 +211,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 // IMCPositions is irrelevant while moving a referenced IMC is not.
 func TestFingerprintAnchorsByPosition(t *testing.T) {
 	in, _ := testInput(3, 3)
-	in.Observations = append(in.Observations, probe.Observation{
+	in.Observations = append(in.Observations, route.Observation{
 		SrcCHA: -1, DstCHA: 0, Anchored: true, SrcIMC: 0,
 		Down: []int{0},
 	})
@@ -239,7 +239,7 @@ func TestCacheCachesErrors(t *testing.T) {
 	// other.
 	in := Input{
 		NumCHA: 2, Rows: 2, Cols: 2,
-		Observations: []probe.Observation{
+		Observations: []route.Observation{
 			{SrcCHA: 0, DstCHA: 1, Up: []int{1}},
 			{SrcCHA: 1, DstCHA: 0, Up: []int{0}},
 		},

@@ -28,14 +28,14 @@ import (
 //
 // fingerprintVersion is baked into the digest; bump it whenever the
 // encoding or the reconstruction semantics change so stale processes
-// cannot alias old entries. Version 2 added the topology-backend
-// discriminator (Input.Backend) to the header, so entries can never
-// alias across interconnect substrates. Version 3 dropped the NoPrune
-// option from the header: the dominance-pruned emitter is the only one.
-const fingerprintVersion = 3
+// cannot alias old entries. Version 3 dropped the NoPrune option from
+// the header: the dominance-pruned emitter is the only one. Version 4
+// dropped the topology-backend discriminator: the mesh is the only
+// substrate.
+const fingerprintVersion = 4
 
 // Fingerprint returns the canonical content digest of a reconstruction
-// problem: a header of the topology backend, the grid dimensions and the
+// problem: a header of the grid dimensions and the
 // Options fields that can change the reconstruction, followed by the
 // sorted, self-contained observation records. Reconstruct must have
 // validated in first (anchored observations index into IMCPositions).
@@ -43,7 +43,6 @@ func Fingerprint(in Input, opts Options) memo.Key {
 	var buf []byte
 	u := func(v int64) { buf = binary.AppendVarint(buf, v) }
 	u(fingerprintVersion)
-	u(int64(in.Backend))
 	u(int64(in.NumCHA))
 	u(int64(in.Rows))
 	u(int64(in.Cols))

@@ -42,8 +42,7 @@ import (
 	"coremap/internal/ilp"
 	"coremap/internal/mesh"
 	"coremap/internal/obs"
-	"coremap/internal/probe"
-	"coremap/internal/topo"
+	"coremap/internal/route"
 )
 
 // bigM nullifies guarded constraints; any value exceeding every possible
@@ -52,22 +51,13 @@ const bigM = 64
 
 // Input is the reconstruction problem.
 type Input struct {
-	// Backend is the interconnect substrate the observations were
-	// measured on. The constraint emitter below is the mesh backend's
-	// (Y-then-X routing, ring-ingress observers, NE/NW nullifiers);
-	// Reconstruct rejects any other kind — the ring and noc backends
-	// own their emitters (internal/topo/ring, internal/topo/noc). The
-	// field still participates in Fingerprint so cache entries can
-	// never alias across substrates. The zero value is topo.KindMesh,
-	// keeping pre-refactor call sites unchanged.
-	Backend topo.Kind
 	// NumCHA is the number of tiles to place (every active CHA).
 	NumCHA int
 	// Rows and Cols are the die tile-grid dimensions T_h × T_w, known
 	// per CPU family from die documentation.
 	Rows, Cols int
 	// Observations is the step-2 measurement output.
-	Observations []probe.Observation
+	Observations []route.Observation
 	// IMCPositions gives the die coordinates of the memory controllers,
 	// indexed by IMC number. Required only when Observations contains
 	// memory-anchored entries; anchored reconstructions come out in
@@ -146,10 +136,9 @@ var ErrInterrupted = cmerr.Sentinel(cmerr.Interrupted, "locate: reconstruction i
 
 // builder assembles the ILP.
 type builder struct {
-	m       *ilp.Model
-	r, c    []ilp.Var
-	anchors map[mesh.Coord][2]ilp.Var
-	in      Input
+	m    *ilp.Model
+	r, c []ilp.Var
+	in   Input
 	// lbl is scratch for building label and name strings with strconv
 	// instead of fmt: one constraint label is minted per model row, and
 	// Sprintf's vararg boxing was the largest allocation source of model
@@ -199,7 +188,7 @@ func (b *builder) pathLabel(p, src, dst int, kind string, k int) string {
 // lexicographically smallest placement whatever order the observation
 // rows were emitted in.
 func newBuilder(in Input) *builder {
-	b := &builder{m: ilp.NewModel(), in: in, anchors: make(map[mesh.Coord][2]ilp.Var)}
+	b := &builder{m: ilp.NewModel(), in: in}
 	b.r = make([]ilp.Var, in.NumCHA)
 	b.c = make([]ilp.Var, in.NumCHA)
 	for i := 0; i < in.NumCHA; i++ {
@@ -207,79 +196,6 @@ func newBuilder(in Input) *builder {
 		b.c[i] = b.m.NewVar(b.nameIdx("C", i), 0, int64(in.Cols-1))
 	}
 	return b
-}
-
-// srcVars returns the row/column variables of an observation's source:
-// the CHA's position unknowns, or — for memory-anchored observations —
-// variables fixed at the known IMC die position.
-func (b *builder) srcVars(o probe.Observation) (ilp.Var, ilp.Var) {
-	if !o.Anchored {
-		return b.r[o.SrcCHA], b.c[o.SrcCHA]
-	}
-	pos := b.in.IMCPositions[o.SrcIMC]
-	if v, ok := b.anchors[pos]; ok {
-		return v[0], v[1]
-	}
-	rv := b.m.NewVar(fmt.Sprintf("AR%d_%d", pos.Row, pos.Col), int64(pos.Row), int64(pos.Row))
-	cv := b.m.NewVar(fmt.Sprintf("AC%d_%d", pos.Row, pos.Col), int64(pos.Col), int64(pos.Col))
-	b.anchors[pos] = [2]ilp.Var{rv, cv}
-	return rv, cv
-}
-
-// addObservation encodes one traffic path's constraints as measured, one
-// row set per observer. Reconstruct emits the dominance-pruned system
-// instead (addPruned); this raw form is the reference TestPruneInvariant
-// checks the pruner against.
-func (b *builder) addObservation(p int, o probe.Observation, paperBounds bool) {
-	e := o.DstCHA
-	srcR, srcC := b.srcVars(o)
-	label := func(kind string, k int) string {
-		return b.pathLabel(p, o.SrcCHA, e, kind, k)
-	}
-
-	for _, k := range o.Up {
-		// Vertical alignment with the source column.
-		b.m.AddEq(label("col", k), []ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, srcC)}, 0)
-		// Upward travel: R_s > R_k ≥ R_e.
-		b.m.AddGE(label("up-src", k), []ilp.Term{ilp.T(1, srcR), ilp.T(-1, b.r[k])}, 1)
-		b.m.AddGE(label("up-dst", k), []ilp.Term{ilp.T(1, b.r[k]), ilp.T(-1, b.r[e])}, 0)
-	}
-	for _, k := range o.Down {
-		b.m.AddEq(label("col", k), []ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, srcC)}, 0)
-		// Downward travel: R_s < R_k ≤ R_e.
-		b.m.AddGE(label("dn-src", k), []ilp.Term{ilp.T(1, b.r[k]), ilp.T(-1, srcR)}, 1)
-		b.m.AddGE(label("dn-dst", k), []ilp.Term{ilp.T(1, b.r[e]), ilp.T(-1, b.r[k])}, 0)
-	}
-	if len(o.Horz) == 0 {
-		return
-	}
-	ne := b.m.NewBinary(b.nameIdx("NE", p))
-	nw := b.m.NewBinary(b.nameIdx("NW", p))
-	b.m.AddEq(label("dir", 0), []ilp.Term{ilp.T(1, ne), ilp.T(1, nw)}, 1)
-	for _, k := range o.Horz {
-		// Horizontal alignment with the sink row.
-		b.m.AddEq(label("row", k), []ilp.Term{ilp.T(1, b.r[k]), ilp.T(-1, b.r[e])}, 0)
-
-		srcGap, dstGap := int64(1), int64(1)
-		if paperBounds {
-			// The paper's (2)/(3): C_s ≤ C_k and C_k < C_e
-			// (eastbound), mirrored westbound.
-			srcGap = 0
-		}
-		// Eastbound (active when NE=0): C_s + srcGap ≤ C_k.
-		b.m.AddLE(label("east-src", k),
-			[]ilp.Term{ilp.T(1, srcC), ilp.T(-1, b.c[k]), ilp.T(-bigM, ne)}, -srcGap)
-		// Westbound (active when NW=0): C_k + srcGap ≤ C_s.
-		b.m.AddLE(label("west-src", k),
-			[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, srcC), ilp.T(-bigM, nw)}, -srcGap)
-		if k != e {
-			// Intermediates sit strictly before the sink.
-			b.m.AddLE(label("east-dst", k),
-				[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, b.c[e]), ilp.T(-bigM, ne)}, -dstGap)
-			b.m.AddLE(label("west-dst", k),
-				[]ilp.Term{ilp.T(1, b.c[e]), ilp.T(-1, b.c[k]), ilp.T(-bigM, nw)}, -dstGap)
-		}
-	}
 }
 
 // addObjective builds the one-hot channeling, the occupancy indicators and
@@ -375,11 +291,6 @@ func (b *builder) branchOrder() []ilp.Var {
 // node boundary; when an incumbent placement existed, it is returned as
 // a best-effort Map alongside an ErrInterrupted error.
 func Reconstruct(ctx context.Context, in Input, opts Options) (*Map, error) {
-	if in.Backend != topo.KindMesh {
-		return nil, cmerr.New(cmerr.Permanent, "locate",
-			"input carries %s observations; this emitter is mesh-only (the %s backend owns its own)",
-			in.Backend, in.Backend)
-	}
 	if in.NumCHA <= 0 || in.Rows <= 0 || in.Cols <= 0 {
 		return nil, cmerr.New(cmerr.Permanent, "locate", "invalid input %d CHAs on %dx%d", in.NumCHA, in.Rows, in.Cols)
 	}
@@ -396,10 +307,11 @@ func Reconstruct(ctx context.Context, in Input, opts Options) (*Map, error) {
 }
 
 // rawConstraintCount is the number of observation constraints the raw
-// emitter would produce, mirroring addObservation:
-// three per vertical observer, a direction one-hot per horizontal path,
-// and three or five per horizontal observer. Reported next to the built
-// model's actual count so telemetry shows what dominance pruning saved.
+// emitter (one row per clause, the disjunction as big-M rows) would
+// produce: the linear clauses, then per horizontal path a direction
+// one-hot, two source bounds per observer and two sink bounds per
+// intermediate. Reported next to the built model's actual count so
+// telemetry shows what dominance pruning saved.
 func rawConstraintCount(in Input) int64 {
 	var n int64
 	for _, o := range in.Observations {
@@ -409,9 +321,9 @@ func rawConstraintCount(in Input) int64 {
 		}
 		n++ // NE/NW one-hot
 		for _, k := range o.Horz {
-			n += 3 // row alignment + east/west source bounds
+			n += 2 // east/west source bounds
 			if k != o.DstCHA {
-				n += 2 // east/west intermediate bounds
+				n += 3 // sink-row alignment + east/west sink bounds
 			}
 		}
 	}

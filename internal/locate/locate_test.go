@@ -9,7 +9,7 @@ import (
 
 	"coremap/internal/cmerr"
 	"coremap/internal/mesh"
-	"coremap/internal/probe"
+	"coremap/internal/route"
 )
 
 func TestNormalizeAndMirror(t *testing.T) {
@@ -90,14 +90,14 @@ func TestScoreDetectsMismatch(t *testing.T) {
 // syntheticObservations builds ground-truth observations for every ordered
 // pair of active tiles on a grid, seen through the partial-observability
 // rules (only active-CHA tiles report ingress).
-func syntheticObservations(g *mesh.Grid, tiles []mesh.Coord) []probe.Observation {
-	var obs []probe.Observation
+func syntheticObservations(g *mesh.Grid, tiles []mesh.Coord) []route.Observation {
+	var obs []route.Observation
 	for s := range tiles {
 		for e := range tiles {
 			if s == e {
 				continue
 			}
-			o := probe.Observation{SrcCHA: s, DstCHA: e}
+			o := route.Observation{SrcCHA: s, DstCHA: e}
 			for _, h := range g.Route(tiles[s], tiles[e]) {
 				tl := g.Tile(h.To)
 				if !tl.Kind.HasCHA() {
@@ -215,7 +215,7 @@ func TestReconstructPaperBoundsAlsoRecover(t *testing.T) {
 
 func TestReconstructUnsatisfiable(t *testing.T) {
 	// Tile 2 claims to be strictly below tile 0 and strictly above it.
-	obs := []probe.Observation{
+	obs := []route.Observation{
 		{SrcCHA: 0, DstCHA: 1, Down: []int{2}},
 		{SrcCHA: 2, DstCHA: 1, Down: []int{0}},
 		{SrcCHA: 1, DstCHA: 0, Down: []int{2}},
@@ -237,7 +237,7 @@ func TestReconstructRejectsBadInput(t *testing.T) {
 	// Every CHA index an observation carries must lie in [0, NumCHA);
 	// the emitters index by them, so a stray one used to panic. The
 	// check runs before the cache is consulted.
-	for name, o := range map[string]probe.Observation{
+	for name, o := range map[string]route.Observation{
 		"sink":       {SrcCHA: 0, DstCHA: 7, Up: []int{1}},
 		"source":     {SrcCHA: -1, DstCHA: 1, Up: []int{1}},
 		"up":         {SrcCHA: 0, DstCHA: 1, Up: []int{2}},
@@ -245,7 +245,7 @@ func TestReconstructRejectsBadInput(t *testing.T) {
 		"horz":       {SrcCHA: 0, DstCHA: 1, Horz: []int{1, 5}},
 		"anchor-imc": {SrcCHA: -1, DstCHA: 1, Anchored: true, SrcIMC: 0, Up: []int{1}},
 	} {
-		in := Input{NumCHA: 2, Rows: 3, Cols: 3, Observations: []probe.Observation{o}}
+		in := Input{NumCHA: 2, Rows: 3, Cols: 3, Observations: []route.Observation{o}}
 		for _, opts := range []Options{{}, {Cache: NewCache()}} {
 			_, err := Reconstruct(context.Background(), in, opts)
 			if !cmerr.IsPermanent(err) || errors.Is(err, ErrUnsatisfiable) {
@@ -278,7 +278,7 @@ func TestScoreAbsolute(t *testing.T) {
 // rounds must pull them apart.
 func TestLazySeparationResolvesOverlaps(t *testing.T) {
 	// Tiles 0,1 vertically adjacent; tile 2 completely unobserved.
-	obs := []probe.Observation{
+	obs := []route.Observation{
 		{SrcCHA: 0, DstCHA: 1, Down: []int{1}},
 		{SrcCHA: 1, DstCHA: 0, Up: []int{0}},
 	}
@@ -304,7 +304,7 @@ func TestAnchoredSyntheticReconstruction(t *testing.T) {
 	// IMC at (1,0); tiles 0 and 1 at (0,0) and (2,0): traffic from the
 	// IMC reaches tile 0 through an up channel and tile 1 through down.
 	imc := []mesh.Coord{{Row: 1, Col: 0}}
-	obs := []probe.Observation{
+	obs := []route.Observation{
 		{SrcCHA: -1, DstCHA: 0, Anchored: true, SrcIMC: 0, Up: []int{0}},
 		{SrcCHA: -1, DstCHA: 1, Anchored: true, SrcIMC: 0, Down: []int{1}},
 	}
@@ -326,7 +326,7 @@ func TestAnchoredSyntheticReconstruction(t *testing.T) {
 func TestVerticalPairMinimalObservation(t *testing.T) {
 	// One observation — 1 down-hop — must separate the two tiles
 	// vertically with the source above the sink.
-	obs := []probe.Observation{{SrcCHA: 0, DstCHA: 1, Down: []int{1}}}
+	obs := []route.Observation{{SrcCHA: 0, DstCHA: 1, Down: []int{1}}}
 	mp, err := Reconstruct(context.Background(), Input{NumCHA: 2, Rows: 3, Cols: 3, Observations: obs}, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 	"coremap/internal/cmerr"
 	"coremap/internal/mesh"
 	"coremap/internal/obs"
-	"coremap/internal/probe"
+	"coremap/internal/route"
 )
 
 // Picking the map from a survivor set. The set is the feasible set of
@@ -110,7 +110,7 @@ func checkSurvivors(in Input) error {
 
 // isAnchored reports whether any observation is memory-anchored, which
 // pins the map in absolute die coordinates.
-func isAnchored(observations []probe.Observation) bool {
+func isAnchored(observations []route.Observation) bool {
 	for _, o := range observations {
 		if o.Anchored {
 			return true

@@ -9,7 +9,7 @@ import (
 
 	"coremap/internal/mesh"
 	"coremap/internal/obs"
-	"coremap/internal/probe"
+	"coremap/internal/route"
 )
 
 // TestPickTiedSurvivors: hand-built survivors where the two optima tie
@@ -67,7 +67,7 @@ func TestPickCountsAnchoredCandidatesRaw(t *testing.T) {
 	imc := []mesh.Coord{{Row: 0, Col: 1}}
 	in := Input{
 		NumCHA: 2, Rows: 2, Cols: 3, IMCPositions: imc,
-		Observations: []probe.Observation{{SrcCHA: -1, DstCHA: 0, Anchored: true, SrcIMC: 0, Down: []int{0}}},
+		Observations: []route.Observation{{SrcCHA: -1, DstCHA: 0, Anchored: true, SrcIMC: 0, Down: []int{0}}},
 		Survivors: [][]mesh.Coord{
 			{{Row: 1, Col: 1}, {Row: 1, Col: 0}},
 			{{Row: 1, Col: 1}, {Row: 1, Col: 2}},
@@ -122,7 +122,7 @@ func TestPickMatchesSolveBruteForce(t *testing.T) {
 		if len(tiles) < 2 {
 			continue
 		}
-		var observations []probe.Observation
+		var observations []route.Observation
 		for _, o := range syntheticObservations(g, tiles) {
 			if r.Intn(2) == 0 {
 				observations = append(observations, o)

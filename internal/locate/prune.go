@@ -5,11 +5,12 @@ import (
 	"sort"
 
 	"coremap/internal/ilp"
-	"coremap/internal/probe"
+	"coremap/internal/route"
 )
 
-// Observation-dominance pruning. The O(n²) ordered-pair sweep of the
-// probe emits heavily overlapping bounding-box constraints: every tile
+// Observation-dominance pruning. Every observation decodes into route's
+// linear clauses and one horizontal disjunction. The O(n²) ordered-pair
+// sweep of the probe emits heavily overlapping clauses: every tile
 // between a source and sink observes *every* experiment crossing it, so
 // the same "R_s is strictly above R_k" fact arrives once per sink behind
 // k, and chains of vertical orderings arrive with all O(L²) pairwise
@@ -27,18 +28,19 @@ import (
 // Anchored observations have constant source coordinates, so their
 // vertical constraints collapse to variable bounds (R_k ≤ row-1 for
 // up-ingress observers, R_k ≥ row+1 for down) and their column
-// alignments to fixed values — no anchor variables are created at all in
-// pruned mode. The equality alignments (observer column = source column,
-// observer row = sink row) are deduplicated to one constraint per
-// variable pair. Horizontal bounding boxes keep their per-path big-M
-// guards (each path owns its NE/NW direction variables), but the sink's
-// own source-side bounds are dropped when another observer on the path
-// dominates them by composition.
+// alignments to fixed values — no anchor variables are created. The
+// equality alignments (observer column = source column, observer row =
+// sink row) are deduplicated to one constraint per variable pair.
+// Horizontal bounding boxes keep their per-path big-M guards (each path
+// owns its NE/NW direction variables), but the sink's own source-side
+// bounds are dropped when another observer on the path dominates them
+// by composition.
 //
-// The pruned and unpruned models are logically equivalent over the
-// shared variables, and the row/column variables are created before any
-// per-observation variable, so the solver's lexicographic tie-break
-// yields byte-identical Map.Pos either way (pinned by TestPruneInvariant).
+// The pruned model and the raw one (a row per clause) are logically
+// equivalent over the shared variables, and the row/column variables are
+// created before any per-observation variable, so the solver's
+// lexicographic tie-break yields byte-identical Map.Pos either way
+// (pinned by TestPruneInvariant).
 
 // diffEdge is one difference constraint R_x - R_y ≥ gap between the row
 // variables of CHAs x and y.
@@ -83,54 +85,30 @@ func newPrunePlan(in Input) *prunePlan {
 		}
 		return [2]int{a, b}
 	}
-	addEdge := func(x, y int, gap int64) {
-		pl.raw++
-		k := [2]int{x, y}
-		if g, ok := edges[k]; !ok || gap > g {
-			edges[k] = gap
-		}
-	}
-
-	for _, o := range in.Observations {
-		e := o.DstCHA
-		var srcRow, srcCol int
-		if o.Anchored {
-			pos := in.IMCPositions[o.SrcIMC]
-			srcRow, srcCol = pos.Row, pos.Col
-		}
-		for _, k := range o.Up {
-			pl.raw++
-			if o.Anchored {
-				colFix[varFix{k, int64(srcCol)}] = true
-				pl.raw++
-				// R_src > R_k with constant source row.
-				if hi, ok := rowHi[k]; !ok || int64(srcRow)-1 < hi {
-					rowHi[k] = int64(srcRow) - 1
+	var lins []route.Lin
+	for i := range in.Observations {
+		lins = in.Observations[i].Linear(lins[:0], in.IMCPositions)
+		pl.raw += len(lins)
+		for _, l := range lins {
+			switch {
+			case l.B == route.Fixed && l.Lo == l.Hi: // anchored column alignment
+				colFix[varFix{l.A, l.Lo}] = true
+			case l.Lo == l.Hi && l.Col:
+				colEq[pair(l.A, l.B)] = true
+			case l.Lo == l.Hi: // sink-row alignment
+				rowEq[pair(l.A, l.B)] = true
+			case l.B != route.Fixed: // R_A − R_B ≥ Lo, keep the tightest
+				if g, ok := edges[[2]int{l.A, l.B}]; !ok || l.Lo > g {
+					edges[[2]int{l.A, l.B}] = l.Lo
 				}
-			} else {
-				colEq[pair(k, o.SrcCHA)] = true
-				addEdge(o.SrcCHA, k, 1)
-			}
-			addEdge(k, e, 0)
-		}
-		for _, k := range o.Down {
-			pl.raw++
-			if o.Anchored {
-				colFix[varFix{k, int64(srcCol)}] = true
-				pl.raw++
-				if lo, ok := rowLo[k]; !ok || int64(srcRow)+1 > lo {
-					rowLo[k] = int64(srcRow) + 1
+			case l.Hi == ilp.PosInf: // anchored down-ingress
+				if lo, ok := rowLo[l.A]; !ok || l.Lo > lo {
+					rowLo[l.A] = l.Lo
 				}
-			} else {
-				colEq[pair(k, o.SrcCHA)] = true
-				addEdge(k, o.SrcCHA, 1)
-			}
-			addEdge(e, k, 0)
-		}
-		for _, k := range o.Horz {
-			pl.raw++
-			if k != e {
-				rowEq[pair(k, e)] = true
+			default: // anchored up-ingress
+				if hi, ok := rowHi[l.A]; !ok || l.Hi < hi {
+					rowHi[l.A] = l.Hi
+				}
 			}
 		}
 	}
@@ -139,16 +117,7 @@ func newPrunePlan(in Input) *prunePlan {
 	// fixed order; drop an edge when two currently-kept edges through an
 	// intermediate imply it. Kept-at-drop-time witnesses guarantee the
 	// final kept set still implies every dropped edge.
-	keys := make([][2]int, 0, len(edges))
-	for k := range edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
+	keys := sortedPairs(edges)
 	for _, k := range keys {
 		g := edges[k]
 		if k[0] == k[1] && g <= 0 {
@@ -169,14 +138,7 @@ func newPrunePlan(in Input) *prunePlan {
 	}
 
 	// Flatten into deterministic slices.
-	for k := range colEq {
-		pl.colEq = append(pl.colEq, k)
-	}
-	sortPairs(pl.colEq)
-	for k := range rowEq {
-		pl.rowEq = append(pl.rowEq, k)
-	}
-	sortPairs(pl.rowEq)
+	pl.colEq, pl.rowEq = sortedPairs(colEq), sortedPairs(rowEq)
 	for f := range colFix {
 		pl.colFix = append(pl.colFix, f)
 	}
@@ -199,22 +161,20 @@ func newPrunePlan(in Input) *prunePlan {
 	return pl
 }
 
-func sortPairs(s [][2]int) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i][0] != s[j][0] {
-			return s[i][0] < s[j][0]
-		}
-		return s[i][1] < s[j][1]
-	})
+func sortFixes(s []varFix) {
+	sort.Slice(s, func(i, j int) bool { return s[i].v < s[j].v || s[i].v == s[j].v && s[i].val < s[j].val })
 }
 
-func sortFixes(s []varFix) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].v != s[j].v {
-			return s[i].v < s[j].v
-		}
-		return s[i].val < s[j].val
+// sortedPairs returns m's keys in ascending order.
+func sortedPairs[V any](m map[[2]int]V) [][2]int {
+	keys := make([][2]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return keys[i][0] < keys[j][0] || keys[i][0] == keys[j][0] && keys[i][1] < keys[j][1]
 	})
+	return keys
 }
 
 // addPruned emits the dominance-reduced constraint system: the plan's
@@ -248,25 +208,26 @@ func (b *builder) addPruned(paperBounds bool) {
 	}
 }
 
-// addHorzPruned emits one path's horizontal bounding boxes. Alignment
-// equalities are already in the plan; anchored sources fold their
-// constant column into the right-hand side; and the sink's own
+// addHorzPruned emits one path's horizontal bounding boxes: route's
+// SrcBounds and DstBounds clauses, each guarded by its direction's
+// nullifier. Alignment equalities are already in the plan, anchored
+// sources fold their constant column into the bound, and the sink's own
 // source-side bounds are skipped when another observer dominates them by
 // composition (src-bound(k) + dst-bound(k) imply src-bound(sink) under
 // the shared direction guard, since bigM exceeds any column difference).
-func (b *builder) addHorzPruned(p int, o probe.Observation, paperBounds bool) {
+func (b *builder) addHorzPruned(p int, o route.Observation, paperBounds bool) {
 	if len(o.Horz) == 0 {
 		return
 	}
 	e := o.DstCHA
-	label := func(kind string, k int) string {
-		return b.pathLabel(p, o.SrcCHA, e, kind, k)
+	label := func(l route.Lin) string {
+		return b.pathLabel(p, o.SrcCHA, e, l.Kind.String(), l.K)
 	}
 	ne := b.m.NewBinary(b.nameIdx("NE", p))
 	nw := b.m.NewBinary(b.nameIdx("NW", p))
-	b.m.AddEq(label("dir", 0), []ilp.Term{ilp.T(1, ne), ilp.T(1, nw)}, 1)
+	b.m.AddEq(b.pathLabel(p, o.SrcCHA, e, "dir", 0), []ilp.Term{ilp.T(1, ne), ilp.T(1, nw)}, 1)
 
-	srcGap, dstGap := int64(1), int64(1)
+	srcGap := 1
 	if paperBounds {
 		srcGap = 0
 	}
@@ -285,29 +246,42 @@ func (b *builder) addHorzPruned(p int, o probe.Observation, paperBounds bool) {
 		if k == e && skipSinkSrc {
 			continue
 		}
-		if o.Anchored {
-			srcCol := int64(b.in.IMCPositions[o.SrcIMC].Col)
-			// Eastbound (NE=0): srcCol + srcGap ≤ C_k.
-			b.m.AddLE(label("east-src", k),
-				[]ilp.Term{ilp.T(-1, b.c[k]), ilp.T(-bigM, ne)}, -srcGap-srcCol)
-			// Westbound (NW=0): C_k + srcGap ≤ srcCol.
-			b.m.AddLE(label("west-src", k),
-				[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-bigM, nw)}, srcCol-srcGap)
-		} else {
-			srcC := b.c[o.SrcCHA]
-			b.m.AddLE(label("east-src", k),
-				[]ilp.Term{ilp.T(1, srcC), ilp.T(-1, b.c[k]), ilp.T(-bigM, ne)}, -srcGap)
-			b.m.AddLE(label("west-src", k),
-				[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, srcC), ilp.T(-bigM, nw)}, -srcGap)
-		}
+		east, west := o.SrcBounds(k, b.in.IMCPositions, srcGap)
+		b.addGuarded(label(east), east, ne)
+		b.addGuarded(label(west), west, nw)
 	}
 	for _, k := range o.Horz {
 		if k == e {
 			continue
 		}
-		b.m.AddLE(label("east-dst", k),
-			[]ilp.Term{ilp.T(1, b.c[k]), ilp.T(-1, b.c[e]), ilp.T(-bigM, ne)}, -dstGap)
-		b.m.AddLE(label("west-dst", k),
-			[]ilp.Term{ilp.T(1, b.c[e]), ilp.T(-1, b.c[k]), ilp.T(-bigM, nw)}, -dstGap)
+		east, west := o.DstBounds(k)
+		b.addGuarded(label(east), east, ne)
+		b.addGuarded(label(west), west, nw)
 	}
+}
+
+// addGuarded emits one-sided clause l as a big-M row that binds only
+// while guard is 0: X_A − X_B − bigM·guard ≤ Hi for an upper bound, and
+// X_B − X_A − bigM·guard ≤ −Lo for a lower one.
+func (b *builder) addGuarded(label string, l route.Lin, guard ilp.Var) {
+	x := b.r
+	if l.Col {
+		x = b.c
+	}
+	var buf [3]ilp.Term
+	terms := buf[:0]
+	if l.Hi != ilp.PosInf {
+		terms = append(terms, ilp.T(1, x[l.A]))
+		if l.B != route.Fixed {
+			terms = append(terms, ilp.T(-1, x[l.B]))
+		}
+		terms = append(terms, ilp.T(-bigM, guard))
+		b.m.AddLE(label, terms, l.Hi)
+		return
+	}
+	if l.B != route.Fixed {
+		terms = append(terms, ilp.T(1, x[l.B]))
+	}
+	terms = append(terms, ilp.T(-1, x[l.A]), ilp.T(-bigM, guard))
+	b.m.AddLE(label, terms, -l.Lo)
 }

@@ -6,9 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"coremap/internal/ilp"
 	"coremap/internal/machine"
 	"coremap/internal/mesh"
 	"coremap/internal/probe"
+	"coremap/internal/route"
 )
 
 // measuredInput runs the probe pipeline on a machine and packages the
@@ -33,13 +35,41 @@ func measuredInput(t *testing.T, m *machine.Machine) Input {
 	}
 }
 
+// addRaw emits one observation as measured, one row per clause: its
+// linear clauses, then its disjunction as big-M rows under a fresh NE/NW
+// binary pair. It is the reference the dominance pruner is checked
+// against.
+func (b *builder) addRaw(p int, o route.Observation, srcGap int) {
+	var buf [2]ilp.Term
+	for _, l := range o.Linear(nil, b.in.IMCPositions) {
+		terms, lo, hi := l.Row(b.r, b.c, &buf)
+		b.m.AddRange(l.Kind.String(), terms, lo, hi)
+	}
+	if len(o.Horz) == 0 {
+		return
+	}
+	ne := b.m.NewBinary(b.nameIdx("NE", p))
+	nw := b.m.NewBinary(b.nameIdx("NW", p))
+	b.m.AddEq("dir", []ilp.Term{ilp.T(1, ne), ilp.T(1, nw)}, 1)
+	for _, k := range o.Horz {
+		east, west := o.SrcBounds(k, b.in.IMCPositions, srcGap)
+		b.addGuarded(east.Kind.String(), east, ne)
+		b.addGuarded(west.Kind.String(), west, nw)
+		if k != o.DstCHA {
+			east, west = o.DstBounds(k)
+			b.addGuarded(east.Kind.String(), east, ne)
+			b.addGuarded(west.Kind.String(), west, nw)
+		}
+	}
+}
+
 // reconstructRaw solves in from the raw per-observation constraint system
-// (addObservation), the reference the dominance pruner is checked against.
+// (addRaw), the reference the dominance pruner is checked against.
 func reconstructRaw(t *testing.T, in Input) *Map {
 	t.Helper()
 	b := newBuilder(in)
 	for p, o := range in.Observations {
-		b.addObservation(p, o, false)
+		b.addRaw(p, o, 1)
 	}
 	b.addObjective()
 	m, err := b.solve(context.Background(), Options{})

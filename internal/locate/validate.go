@@ -5,16 +5,15 @@ import (
 
 	"coremap/internal/cmerr"
 	"coremap/internal/mesh"
-	"coremap/internal/probe"
+	"coremap/internal/route"
 )
 
-// Validate checks a placement against every observation semantically —
-// alignment, vertical ordering and the existence of a consistent
-// horizontal direction per path — without building the ILP. It returns a
-// descriptive error for the first violated observation. Reconstruct's
-// solutions always validate (the ILP enforces a superset of these
-// constraints); the function exists as an independent cross-check and for
-// validating externally supplied maps.
+// Validate checks a placement against every observation's clauses —
+// route.Check in the strict dimension-order form — without building the
+// ILP. It returns a descriptive error for the first violated
+// observation. Reconstruct's strict-form solutions always validate (the
+// ILP encodes the same clauses); the function exists as an independent
+// cross-check and for validating externally supplied maps.
 func Validate(in Input, pos []mesh.Coord) error {
 	if len(pos) != in.NumCHA {
 		return cmerr.New(cmerr.Permanent, "locate", "placement has %d tiles, expected %d", len(pos), in.NumCHA)
@@ -22,15 +21,10 @@ func Validate(in Input, pos []mesh.Coord) error {
 	if err := checkIndices(in); err != nil {
 		return err
 	}
-	for i, o := range in.Observations {
-		var src mesh.Coord
-		if o.Anchored {
-			src = in.IMCPositions[o.SrcIMC]
-		} else {
-			src = pos[o.SrcCHA]
-		}
-		if err := validatePath(o, src, pos[o.DstCHA], pos); err != nil {
-			return fmt.Errorf("locate: observation %d (%d→%d): %w", i, o.SrcCHA, o.DstCHA, err)
+	for i := range in.Observations {
+		o := &in.Observations[i]
+		if l := route.Check(o, pos, in.IMCPositions, 1); l.Kind != route.None {
+			return fmt.Errorf("locate: observation %d (%d→%d): %w", i, o.SrcCHA, o.DstCHA, clauseError(o, l, pos, in.IMCPositions))
 		}
 	}
 	return nil
@@ -69,51 +63,20 @@ func checkIndices(in Input) error {
 	return nil
 }
 
-func validatePath(o probe.Observation, src, dst mesh.Coord, pos []mesh.Coord) error {
-	for _, k := range o.Up {
-		c := pos[k]
-		if c.Col != src.Col {
-			return fmt.Errorf("up observer %d at %v not in source column %d", k, c, src.Col)
-		}
-		if !(src.Row > c.Row && c.Row >= dst.Row) {
-			return fmt.Errorf("up observer %d at row %d outside (%d,%d]", k, c.Row, dst.Row-1, src.Row-1)
-		}
+// clauseError describes violated clause l of observation o under
+// placement pos.
+func clauseError(o *route.Observation, l route.Lin, pos, imc []mesh.Coord) error {
+	src, dst := o.Source(pos, imc), pos[o.DstCHA]
+	switch c := pos[l.K]; l.Kind {
+	case route.UpCol:
+		return fmt.Errorf("up observer %d at %v not in source column %d", l.K, c, src.Col)
+	case route.DownCol:
+		return fmt.Errorf("down observer %d at %v not in source column %d", l.K, c, src.Col)
+	case route.UpSrc, route.UpDst:
+		return fmt.Errorf("up observer %d at row %d outside (%d,%d]", l.K, c.Row, dst.Row-1, src.Row-1)
+	case route.DownSrc, route.DownDst:
+		return fmt.Errorf("down observer %d at row %d outside [%d,%d)", l.K, c.Row, src.Row+1, dst.Row)
 	}
-	for _, k := range o.Down {
-		c := pos[k]
-		if c.Col != src.Col {
-			return fmt.Errorf("down observer %d at %v not in source column %d", k, c, src.Col)
-		}
-		if !(src.Row < c.Row && c.Row <= dst.Row) {
-			return fmt.Errorf("down observer %d at row %d outside [%d,%d)", k, c.Row, src.Row+1, dst.Row)
-		}
-	}
-	if len(o.Horz) == 0 {
-		return nil
-	}
-	// One direction must explain every horizontal observer: strictly
-	// east of the source, on the sink row, and not past the sink (or the
-	// westbound mirror image).
-	ok := func(east bool) bool {
-		for _, k := range o.Horz {
-			c := pos[k]
-			if c.Row != dst.Row {
-				return false
-			}
-			if east {
-				if !(src.Col < c.Col && c.Col <= dst.Col) {
-					return false
-				}
-			} else {
-				if !(src.Col > c.Col && c.Col >= dst.Col) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if !ok(true) && !ok(false) {
-		return fmt.Errorf("horizontal observers %v fit neither direction", o.Horz)
-	}
-	return nil
+	// A horizontal observer off the sink row fits no direction either.
+	return fmt.Errorf("horizontal observers %v fit neither direction", o.Horz)
 }

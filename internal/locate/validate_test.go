@@ -8,6 +8,7 @@ import (
 	"coremap/internal/machine"
 	"coremap/internal/mesh"
 	"coremap/internal/probe"
+	"coremap/internal/route"
 )
 
 func TestValidateAcceptsTruth(t *testing.T) {
@@ -31,7 +32,7 @@ func TestValidateAcceptsReconstruction(t *testing.T) {
 }
 
 func TestValidateRejectsWrongPlacements(t *testing.T) {
-	obs := []probe.Observation{{SrcCHA: 0, DstCHA: 1, Down: []int{1}}}
+	obs := []route.Observation{{SrcCHA: 0, DstCHA: 1, Down: []int{1}}}
 	in := Input{NumCHA: 2, Rows: 3, Cols: 3, Observations: obs}
 	cases := []struct {
 		name string
@@ -57,7 +58,7 @@ func TestValidateRejectsWrongPlacements(t *testing.T) {
 func TestValidateHorizontalDirections(t *testing.T) {
 	// Observer 1 between source 0 and sink 2, all on one row: valid in
 	// one orientation, invalid when the observer is outside the span.
-	obs := []probe.Observation{{SrcCHA: 0, DstCHA: 2, Horz: []int{1, 2}}}
+	obs := []route.Observation{{SrcCHA: 0, DstCHA: 2, Horz: []int{1, 2}}}
 	in := Input{NumCHA: 3, Rows: 2, Cols: 4, Observations: obs}
 	good := []mesh.Coord{{Row: 0, Col: 0}, {Row: 0, Col: 1}, {Row: 0, Col: 2}}
 	if err := Validate(in, good); err != nil {
@@ -73,9 +74,29 @@ func TestValidateHorizontalDirections(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsObserverInSinkColumn: an intermediate horizontal
+// observer lies strictly before the sink, as the ILP's east-dst/west-dst
+// rows and the planner's survivor filter require; one in the sink's own
+// column fits neither direction.
+func TestValidateRejectsObserverInSinkColumn(t *testing.T) {
+	obs := []route.Observation{{SrcCHA: 0, DstCHA: 2, Horz: []int{1, 2}}}
+	in := Input{NumCHA: 3, Rows: 2, Cols: 4, Observations: obs}
+	for _, pos := range [][]mesh.Coord{
+		{{Row: 0, Col: 0}, {Row: 0, Col: 2}, {Row: 0, Col: 2}}, // eastbound
+		{{Row: 0, Col: 3}, {Row: 0, Col: 1}, {Row: 0, Col: 1}}, // westbound
+	} {
+		err := Validate(in, pos)
+		if err == nil {
+			t.Errorf("%v: observer 1 in the sink's column accepted", pos)
+		} else if !strings.Contains(err.Error(), "fit neither direction") {
+			t.Errorf("%v: error %q does not name the horizontal clause", pos, err)
+		}
+	}
+}
+
 func TestValidateAnchored(t *testing.T) {
 	imc := []mesh.Coord{{Row: 1, Col: 0}}
-	obs := []probe.Observation{{SrcCHA: -1, DstCHA: 0, Anchored: true, SrcIMC: 0, Down: []int{0}}}
+	obs := []route.Observation{{SrcCHA: -1, DstCHA: 0, Anchored: true, SrcIMC: 0, Down: []int{0}}}
 	in := Input{NumCHA: 1, Rows: 3, Cols: 2, Observations: obs, IMCPositions: imc}
 	if err := Validate(in, []mesh.Coord{{Row: 2, Col: 0}}); err != nil {
 		t.Errorf("valid anchored placement rejected: %v", err)

@@ -6,11 +6,9 @@ import (
 	"coremap/internal/mesh"
 )
 
-// These edge cases double as the router contract every topology backend
-// must satisfy (see internal/topo/topotest): a zero-length flow charges
-// nothing, degenerate one-row and one-column grids still route, and
-// lookups on an empty substrate report absence instead of inventing a
-// tile.
+// Router edge cases: a zero-length flow charges nothing, degenerate
+// one-row and one-column grids still route, and lookups on an empty
+// grid report absence instead of inventing a tile.
 
 // TestRouteSelf: src == dst is a legal route of zero hops, and injecting
 // it charges no counter anywhere.

@@ -16,24 +16,14 @@ package plan
 // since the last one, minus exact duplicates, and the resumable
 // ilp.Enumerator applies them as cuts to its open search frontier.
 //
-// The rows must stay in lockstep with locate.addObservation (and with
-// consistent in predict.go, which is the same encoding evaluated on a
-// concrete placement).
+// The rows are route.Observation.Linear's clauses, in its order; the
+// disjunction is route.Observation.HorzFeasible, evaluated by the hooks.
 
 import (
 	"coremap/internal/ilp"
 	"coremap/internal/mesh"
+	"coremap/internal/route"
 )
-
-// horzObs is the Accept/Prune-side residue of one observation: the
-// horizontal direction disjunction locate encodes with big-M binaries.
-type horzObs struct {
-	anchored bool
-	src      mesh.Coord // source coordinate when anchored
-	srcCHA   int        // source CHA when not anchored
-	dstCHA   int
-	horz     []int
-}
 
 // rowSink receives the lean model's rows; *ilp.Model is one.
 type rowSink interface {
@@ -73,21 +63,16 @@ func (d *distinctRows) AddRange(label string, terms []ilp.Term, lo, hi int64) {
 }
 
 // newModel declares the enumeration model's variables: a row and a
-// column per CHA. It returns the projection (r0, c0, r1, c1, … — decode
-// with coordAt) and the branch order (c0, r0, c1, r1, … — columns first,
-// mirroring locate.branchOrder so the enumeration walks the tree in the
-// solver's canonical shape).
-func (pl *Planner) newModel() (m *ilp.Model, project, branch []ilp.Var) {
+// column per CHA.
+func (pl *Planner) newModel() (m *ilp.Model, r, c []ilp.Var) {
 	m = ilp.NewModel()
-	project = make([]ilp.Var, 0, 2*pl.numCHA)
-	branch = make([]ilp.Var, 0, 2*pl.numCHA)
+	r = make([]ilp.Var, pl.numCHA)
+	c = make([]ilp.Var, pl.numCHA)
 	for k := 0; k < pl.numCHA; k++ {
-		r := m.NewVar("r", 0, int64(pl.opts.Rows-1))
-		c := m.NewVar("c", 0, int64(pl.opts.Cols-1))
-		project = append(project, r, c)
-		branch = append(branch, c, r)
+		r[k] = m.NewVar("r", 0, int64(pl.opts.Rows-1))
+		c[k] = m.NewVar("c", 0, int64(pl.opts.Cols-1))
 	}
-	return m, project, branch
+	return m, r, c
 }
 
 // extendModel brings the planner's model up to date with the
@@ -98,71 +83,34 @@ func (pl *Planner) newModel() (m *ilp.Model, project, branch []ilp.Var) {
 func (pl *Planner) extendModel() {
 	if pl.model.m == nil {
 		pl.model = distinctRows{seen: make(map[rowKey]struct{})}
-		pl.model.m, pl.project, pl.branch = pl.newModel()
+		pl.model.m, pl.rowVar, pl.colVar = pl.newModel()
+		// The projection is r0, c0, r1, c1, … (decode with coordAt); the
+		// branch order c0, r0, c1, r1, … puts columns first, mirroring
+		// locate.branchOrder so the enumeration walks the tree in the
+		// solver's canonical shape.
+		for k := 0; k < pl.numCHA; k++ {
+			pl.project = append(pl.project, pl.rowVar[k], pl.colVar[k])
+			pl.branch = append(pl.branch, pl.colVar[k], pl.rowVar[k])
+		}
 	}
 	for _, o := range pl.observations[pl.modelObs:] {
 		pl.addObservationRows(&pl.model, o)
 		if len(o.Horz) > 0 {
-			pl.horzObs = append(pl.horzObs, horzObs{
-				anchored: o.Anchored,
-				src:      pl.srcConst(o),
-				srcCHA:   o.SrcCHA,
-				dstCHA:   o.DstCHA,
-				horz:     o.Horz,
-			})
+			pl.horzObs = append(pl.horzObs, o)
 		}
 	}
 	pl.modelObs = len(pl.observations)
 }
 
-// addObservationRows emits the binary-free rows of one observation over
-// the position variables of pl.project.
-func (pl *Planner) addObservationRows(m rowSink, o Observation) {
-	r := func(k int) ilp.Var { return pl.project[2*k] }
-	c := func(k int) ilp.Var { return pl.project[2*k+1] }
-	const ninf, pinf = ilp.NegInf, ilp.PosInf
-	e := o.DstCHA
-	if o.Anchored {
-		// Source coordinates are known constants; fold them into
-		// single-variable rows instead of referencing fixed vars.
-		src := pl.opts.IMCPositions[o.SrcIMC]
-		sr, sc := int64(src.Row), int64(src.Col)
-		for _, k := range o.Up {
-			m.AddRange("up-col", []ilp.Term{ilp.T(1, c(k))}, sc, sc)
-			m.AddRange("up-src", []ilp.Term{ilp.T(1, r(k))}, ninf, sr-1)
-			m.AddRange("up-dst", []ilp.Term{ilp.T(1, r(k)), ilp.T(-1, r(e))}, 0, pinf)
-		}
-		for _, k := range o.Down {
-			m.AddRange("dn-col", []ilp.Term{ilp.T(1, c(k))}, sc, sc)
-			m.AddRange("dn-src", []ilp.Term{ilp.T(1, r(k))}, sr+1, pinf)
-			m.AddRange("dn-dst", []ilp.Term{ilp.T(1, r(e)), ilp.T(-1, r(k))}, 0, pinf)
-		}
-	} else {
-		s := o.SrcCHA
-		for _, k := range o.Up {
-			m.AddRange("up-col", []ilp.Term{ilp.T(1, c(k)), ilp.T(-1, c(s))}, 0, 0)
-			m.AddRange("up-src", []ilp.Term{ilp.T(1, r(s)), ilp.T(-1, r(k))}, 1, pinf)
-			m.AddRange("up-dst", []ilp.Term{ilp.T(1, r(k)), ilp.T(-1, r(e))}, 0, pinf)
-		}
-		for _, k := range o.Down {
-			m.AddRange("dn-col", []ilp.Term{ilp.T(1, c(k)), ilp.T(-1, c(s))}, 0, 0)
-			m.AddRange("dn-src", []ilp.Term{ilp.T(1, r(k)), ilp.T(-1, r(s))}, 1, pinf)
-			m.AddRange("dn-dst", []ilp.Term{ilp.T(1, r(e)), ilp.T(-1, r(k))}, 0, pinf)
-		}
+// addObservationRows emits the linear clauses of one observation as
+// rows over the position variables.
+func (pl *Planner) addObservationRows(m rowSink, o route.Observation) {
+	pl.lins = o.Linear(pl.lins[:0], pl.opts.IMCPositions)
+	for i := range pl.lins {
+		l := &pl.lins[i]
+		terms, lo, hi := l.Row(pl.rowVar, pl.colVar, &pl.rowBuf)
+		m.AddRange(l.Kind.String(), terms, lo, hi)
 	}
-	for _, k := range o.Horz {
-		if k == e {
-			continue
-		}
-		m.AddRange("hz-row", []ilp.Term{ilp.T(1, r(k)), ilp.T(-1, r(e))}, 0, 0)
-	}
-}
-
-func (pl *Planner) srcConst(o Observation) mesh.Coord {
-	if o.Anchored {
-		return pl.opts.IMCPositions[o.SrcIMC]
-	}
-	return mesh.Coord{}
 }
 
 // coordAt decodes CHA k from an enumeration projection.
@@ -192,13 +140,7 @@ func (pl *Planner) accept(proj []int64) bool {
 		pl.cellMark[cell] = pl.cellEpoch
 	}
 	for i := range pl.horzObs {
-		h := &pl.horzObs[i]
-		src := h.src
-		if !h.anchored {
-			src = coords[h.srcCHA]
-		}
-		if !horzFeasible(src, coords[h.dstCHA], h.horz, h.dstCHA, pl.srcGap(),
-			func(k int) mesh.Coord { return coords[k] }) {
+		if !pl.horzObs[i].HorzFeasible(coords, pl.opts.IMCPositions, pl.srcGap()) {
 			return false
 		}
 	}
@@ -234,28 +176,11 @@ func (pl *Planner) prune(vals []int64, fixed []bool) bool {
 	}
 	for i := range pl.horzObs {
 		h := &pl.horzObs[i]
-		if !h.anchored && !placed[h.srcCHA] {
-			continue
+		ready := (h.Anchored || placed[h.SrcCHA]) && placed[h.DstCHA]
+		for j := 0; ready && j < len(h.Horz); j++ {
+			ready = placed[h.Horz[j]]
 		}
-		if !placed[h.dstCHA] {
-			continue
-		}
-		all := true
-		for _, k := range h.horz {
-			if !placed[k] {
-				all = false
-				break
-			}
-		}
-		if !all {
-			continue
-		}
-		src := h.src
-		if !h.anchored {
-			src = coords[h.srcCHA]
-		}
-		if !horzFeasible(src, coords[h.dstCHA], h.horz, h.dstCHA, pl.srcGap(),
-			func(k int) mesh.Coord { return coords[k] }) {
+		if ready && !h.HorzFeasible(coords, pl.opts.IMCPositions, pl.srcGap()) {
 			return false
 		}
 	}

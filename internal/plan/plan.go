@@ -17,24 +17,23 @@
 //     bounded enumeration (one resumable ilp.Enumerator per survey)
 //     materializes the surviving placement set once ambiguity drops
 //     under Options.AmbiguityCap;
-//   - an exact observation predictor — the topology backend's routing
-//     model (Options.Predictor, defaulting to the mesh backend's
-//     Y-then-X dimension-order meshroute.Predictor) — used to partition
-//     survivors by predicted outcome;
-//   - a per-observation consistency check mirroring the constraint
-//     encoding of locate.addObservation, used to filter survivors
-//     incrementally as measurements arrive.
+//   - exact observation prediction (route.Classify, the Y-then-X
+//     dimension-order model), used to partition survivors by predicted
+//     outcome;
+//   - the observation's clauses evaluated on a placement (route.Check),
+//     used to filter survivors incrementally as measurements arrive.
 //
 // # Correctness contract
 //
 // Survivors are filtered by *constraint* consistency, never by predicted
 // equality. The materialized set is the complete enumeration of the
 // model rows plus the Accept hook, and Observe filters it with
-// consistent; both mirror locate.addObservation row for row (the
-// all-distinct condition standing in for locate's lazy separation). So
-// at every point the survivors are exactly the placements with
-// all-distinct tiles that satisfy the reconstruction's constraints over
-// the observations in hand — its feasible set, no more and no less.
+// consistent; both are route's clauses, the ones locate's reconstruction
+// encodes (the all-distinct condition standing in for locate's lazy
+// separation). So at every point the survivors are exactly the
+// placements with all-distinct tiles that satisfy the reconstruction's
+// constraints over the observations in hand — its feasible set, no more
+// and no less.
 //
 // Two consequences. First, the convergence test — every unmeasured
 // candidate's predicted observation is identical across all survivors —
@@ -63,8 +62,7 @@ import (
 	"coremap/internal/ilp"
 	"coremap/internal/mesh"
 	"coremap/internal/obs"
-	"coremap/internal/topo"
-	"coremap/internal/topo/meshroute"
+	"coremap/internal/route"
 )
 
 // stage tags every error this package classifies.
@@ -105,7 +103,7 @@ func (k Kind) Op() string {
 }
 
 // Candidate is one runnable experiment. SrcCHA/DstCHA are the traffic
-// route endpoints (source first, matching probe.Observation); the CPU
+// route endpoints (source first, matching route.Observation); the CPU
 // fields carry whatever the executing prober needs to drive the
 // experiment and are opaque to the planner.
 type Candidate struct {
@@ -120,16 +118,6 @@ type Candidate struct {
 	// SrcCPU and DstCPU are the OS CPUs backing the endpoints (-1 when
 	// the endpoint is not a core).
 	SrcCPU, DstCPU int
-}
-
-// Observation is the planner's view of one completed experiment. It
-// mirrors probe.Observation field-for-field; the duplication is what
-// keeps the import graph acyclic (probe imports plan).
-type Observation struct {
-	SrcCHA, DstCHA int
-	Anchored       bool
-	SrcIMC         int
-	Up, Down, Horz []int
 }
 
 // Options configures a Planner.
@@ -157,13 +145,6 @@ type Options struct {
 	// the reconstruction will use, so the planner's consistency check
 	// mirrors the solver's constraint encoding exactly.
 	PaperExactBounds bool
-	// Predictor is the topology backend's observation model the planner
-	// partitions survivors with. nil selects the mesh backend's
-	// meshroute.Predictor — the Y-then-X dimension-order model the
-	// pre-refactor planner computed in-package — which is the only
-	// predictor whose constraint mirror (consistent) matches
-	// locate.addObservation; other backends run their own surveys.
-	Predictor topo.Predictor
 }
 
 // Defaults for the zero Options fields.
@@ -186,9 +167,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = DefaultMaxNodes
-	}
-	if o.Predictor == nil {
-		o.Predictor = meshroute.Predictor{}
 	}
 	return o
 }
@@ -232,7 +210,7 @@ type Planner struct {
 	cands  []Candidate
 	state  []candState
 
-	observations []Observation
+	observations []route.Observation
 	// survivors is the materialized set of placements (CHA → coordinate)
 	// consistent with every observation so far; nil until the first
 	// complete enumeration.
@@ -251,17 +229,19 @@ type Planner struct {
 	nodeBudget int
 
 	// model is the survey's one enumeration model, over the position
-	// variables project (decode with coordAt) branched in branch order;
-	// it holds the rows of observations[:modelObs]. enum is the one
-	// search over it, created at the first materialization and resumed
-	// by every later one.
+	// variables rowVar/colVar, projected in project order (decode with
+	// coordAt) and branched in branch order; it holds the rows of
+	// observations[:modelObs]. enum is the one search over it, created
+	// at the first materialization and resumed by every later one.
 	model           distinctRows
 	modelObs        int
+	rowVar, colVar  []ilp.Var
 	project, branch []ilp.Var
 	enum            *ilp.Enumerator
-	// horzObs holds the horizontal disjunctions of
-	// observations[:modelObs] for the Accept/Prune closures.
-	horzObs []horzObs
+	// horzObs holds the observations of observations[:modelObs] with
+	// horizontal observers, whose disjunctions the Accept/Prune hooks
+	// evaluate.
+	horzObs []route.Observation
 
 	// scratch reused across rounds.
 	projCoords []mesh.Coord
@@ -269,6 +249,8 @@ type Planner struct {
 	cellMark   []int64
 	cellEpoch  int64
 	keyBuf     []byte
+	lins       []route.Lin
+	rowBuf     [2]ilp.Term
 	counts     map[string]int
 	remaining  []int
 	scored     []scoredCand
@@ -405,7 +387,7 @@ func (pl *Planner) issue(batch []int) []int {
 
 // Observe records a completed measurement for pool index ci and filters
 // the surviving placements against it.
-func (pl *Planner) Observe(ci int, o Observation) {
+func (pl *Planner) Observe(ci int, o route.Observation) {
 	if pl.state[ci] == candMeasured || pl.state[ci] == candFailed {
 		return
 	}

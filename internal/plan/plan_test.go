@@ -7,8 +7,7 @@ import (
 
 	"coremap/internal/cmerr"
 	"coremap/internal/mesh"
-	"coremap/internal/topo"
-	"coremap/internal/topo/meshroute"
+	"coremap/internal/route"
 )
 
 // toy is a 3x3 die with five CHAs and one IMC at (2,0).
@@ -44,20 +43,20 @@ func toyCandidates(n int) []Candidate {
 
 // trueObs computes the exact observation candidate c would produce under
 // the ground-truth placement.
-func trueObs(pl *Planner, c Candidate, truth []mesh.Coord) Observation {
+func trueObs(pl *Planner, c Candidate, truth []mesh.Coord) route.Observation {
 	src, dst := pl.routeEndpoints(c, truth)
-	o := Observation{SrcCHA: c.SrcCHA, DstCHA: c.DstCHA}
+	o := route.Observation{SrcCHA: c.SrcCHA, DstCHA: c.DstCHA}
 	if c.Kind == KindMemory {
 		o.Anchored = true
 		o.SrcIMC = c.IMC
 	}
 	for k := range truth {
-		switch meshroute.Classify(src, dst, truth[k]) {
-		case topo.ChanUp:
+		switch route.Classify(src, dst, truth[k]) {
+		case route.ChanUp:
 			o.Up = append(o.Up, k)
-		case topo.ChanDown:
+		case route.ChanDown:
 			o.Down = append(o.Down, k)
-		case topo.ChanHorz:
+		case route.ChanHorz:
 			o.Horz = append(o.Horz, k)
 		}
 	}
@@ -179,7 +178,7 @@ func TestPlannerFallbackOnContradiction(t *testing.T) {
 	}
 	// Answer the first candidate with an impossible observation: the same
 	// CHA both above and below the source.
-	pl.Observe(batch[0], Observation{SrcCHA: -1, DstCHA: 0, Anchored: true, SrcIMC: 0, Up: []int{1}, Down: []int{1}})
+	pl.Observe(batch[0], route.Observation{SrcCHA: -1, DstCHA: 0, Anchored: true, SrcIMC: 0, Up: []int{1}, Down: []int{1}})
 	for _, ci := range batch[1:] {
 		pl.Fail(ci)
 	}
@@ -283,6 +282,33 @@ func TestKindOp(t *testing.T) {
 	for k, s := range want {
 		if k.Op() != s {
 			t.Errorf("Kind(%d).Op() = %q, want %q", k, k.Op(), s)
+		}
+	}
+}
+
+// TestPredictKeyChannelBytes pins predictKey's byte encoding on the toy
+// die: (channel, CHA) pairs with the route.Channel byte values up=1,
+// down=2, horz=3. The keys order the schedule, so a drift in either the
+// channel values or the pair layout would silently change every planned
+// survey.
+func TestPredictKeyChannelBytes(t *testing.T) {
+	pl, err := New(toyOptions(), len(toyTruth), toyCandidates(len(toyTruth)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		c    Candidate
+		want []byte
+	}{
+		// IMC (2,0) -> CHA 1 (0,1): up through CHAs 2 and 0, across to
+		// CHA 1; pairs are listed in ascending CHA order.
+		{Candidate{Kind: KindMemory, SrcCHA: -1, DstCHA: 1, IMC: 0, SrcCPU: -1, DstCPU: 1}, []byte{1, 0, 3, 1, 1, 2}},
+		// CHA 0 (0,0) -> CHA 4 (2,2): down through CHA 2, across to CHA 4.
+		{Candidate{Kind: KindPair, SrcCHA: 0, DstCHA: 4, SrcCPU: 0, DstCPU: 4}, []byte{2, 2, 3, 4}},
+	}
+	for _, tc := range cases {
+		if got := pl.predictKey(tc.c, toyTruth); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("predictKey(%+v) = %v, want %v", tc.c, got, tc.want)
 		}
 	}
 }

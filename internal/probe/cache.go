@@ -6,6 +6,7 @@ import (
 
 	"coremap/internal/memo"
 	"coremap/internal/obs"
+	"coremap/internal/route"
 )
 
 // ResultCache memoizes measurement results by chip identity. The paper's
@@ -176,9 +177,9 @@ func (r *Result) clone() *Result {
 		out.CoreCHAs = append([]int(nil), r.CoreCHAs...)
 	}
 	if r.Observations != nil {
-		out.Observations = make([]Observation, len(r.Observations))
+		out.Observations = make([]route.Observation, len(r.Observations))
 		for i, o := range r.Observations {
-			out.Observations[i] = o.clone()
+			out.Observations[i] = cloneObservation(o)
 		}
 	}
 	if r.Failures != nil {
@@ -187,8 +188,8 @@ func (r *Result) clone() *Result {
 	return out
 }
 
-// clone deep-copies one observation.
-func (o Observation) clone() Observation {
+// cloneObservation deep-copies one observation.
+func cloneObservation(o route.Observation) route.Observation {
 	o.Up = append([]int(nil), o.Up...)
 	o.Down = append([]int(nil), o.Down...)
 	o.Horz = append([]int(nil), o.Horz...)

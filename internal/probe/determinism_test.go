@@ -8,6 +8,7 @@ import (
 	"coremap/internal/hostif"
 	"coremap/internal/machine"
 	"coremap/internal/msr"
+	"coremap/internal/route"
 )
 
 // traceHost records every host operation, in order, before forwarding it.
@@ -73,7 +74,7 @@ func measurementTrace(t *testing.T) []string {
 	// bug this test pins) is biased toward the fixed order, so a single
 	// sweep per trace would let it slip through with high probability.
 	for i := 0; i < 32; i++ {
-		var obs Observation
+		var obs route.Observation
 		if err := p.collectObservation(&obs, 1); err != nil {
 			t.Fatal(err)
 		}

@@ -45,6 +45,7 @@ import (
 	"coremap/internal/plan"
 	"coremap/internal/pmon"
 	"coremap/internal/pool"
+	"coremap/internal/route"
 )
 
 // ctrScratch pools the per-sweep PMON counter buffers (one uint64 per CHA).
@@ -151,25 +152,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Observation is the monitored result of one inter-tile traffic
-// experiment: the CHAs whose ingress counters crossed the threshold,
-// classified by channel. Horizontal left/right arrivals are merged — the
-// odd-column tile mirroring makes the physical direction unknowable.
-type Observation struct {
-	// SrcCHA and DstCHA identify the experiment endpoints by CHA ID.
-	// For memory-anchored observations SrcCHA is unused (-1).
-	SrcCHA, DstCHA int
-	// Anchored marks a memory-traffic observation whose source is the
-	// integrated memory controller SrcIMC — a tile at a publicly known
-	// die position, which pins the reconstruction in absolute
-	// coordinates.
-	Anchored bool
-	SrcIMC   int
-	// Up, Down and Horz list the CHA IDs that observed ingress of each
-	// class, in ascending order.
-	Up, Down, Horz []int
-}
-
 // Failure records one permanently failed unit of measurement work: a
 // step-1 core mapping that could not be established, or a step-2
 // experiment whose observation was dropped. The error is kept as a string
@@ -199,7 +181,7 @@ type Result struct {
 	// CoreCHAs is the sorted set of CHA IDs that host an active core.
 	CoreCHAs []int
 	// Observations holds one entry per completed experiment.
-	Observations []Observation
+	Observations []route.Observation
 	// Planned and Completed count the step-2 experiments the run options
 	// called for and the ones that produced an observation. Experiments
 	// skipped because a CPU could not be mapped in step 1 count as
@@ -838,13 +820,13 @@ func (p *Prober) mapCoresGuided() ([]int, []Failure, error) {
 // MeasureTraffic runs one step-2 experiment: srcCPU repeatedly writes and
 // sinkCPU repeatedly reads a cache line homed at the sink tile's slice, and
 // the ingress counters of every CHA classify who saw the data stream.
-func (p *Prober) MeasureTraffic(ctx context.Context, srcCPU, sinkCPU, srcCHA, sinkCHA int) (Observation, error) {
+func (p *Prober) MeasureTraffic(ctx context.Context, srcCPU, sinkCPU, srcCHA, sinkCHA int) (route.Observation, error) {
 	p.bind(ctx)
 	return p.measureTraffic(srcCPU, sinkCPU, srcCHA, sinkCHA)
 }
 
-func (p *Prober) measureTraffic(srcCPU, sinkCPU, srcCHA, sinkCHA int) (Observation, error) {
-	obs := Observation{SrcCHA: srcCHA, DstCHA: sinkCHA}
+func (p *Prober) measureTraffic(srcCPU, sinkCPU, srcCHA, sinkCHA int) (route.Observation, error) {
+	obs := route.Observation{SrcCHA: srcCHA, DstCHA: sinkCHA}
 	if err := p.ensureCalibrated(); err != nil {
 		return obs, err
 	}
@@ -885,7 +867,7 @@ func (p *Prober) measureTraffic(srcCPU, sinkCPU, srcCHA, sinkCHA int) (Observati
 // classifies the ones whose delta crossed the threshold. The per-direction
 // CHA lists are exact-size windows of the prober's observation slab; a
 // direction with no crossings stays nil, matching the pre-slab encoding.
-func (p *Prober) collectObservation(obs *Observation, threshold uint64) error {
+func (p *Prober) collectObservation(obs *route.Observation, threshold uint64) error {
 	counts := ctrScratch.Get(p.mon.NumCHA)
 	defer ctrScratch.Put(counts)
 	// Fixed iteration order: the three counter sweeps hit the PMON
@@ -924,13 +906,13 @@ func (p *Prober) collectObservation(obs *Observation, threshold uint64) error {
 // tile (clean evictions produce no write-back). This extends the paper's
 // core-pair experiments to LLC-only tiles, which can serve as a traffic
 // *source* even though they cannot host a thread.
-func (p *Prober) MeasureSliceTraffic(ctx context.Context, coreCPU, coreCHA, sliceCHA int) (Observation, error) {
+func (p *Prober) MeasureSliceTraffic(ctx context.Context, coreCPU, coreCHA, sliceCHA int) (route.Observation, error) {
 	p.bind(ctx)
 	return p.measureSliceTraffic(coreCPU, coreCHA, sliceCHA)
 }
 
-func (p *Prober) measureSliceTraffic(coreCPU, coreCHA, sliceCHA int) (Observation, error) {
-	obs := Observation{SrcCHA: sliceCHA, DstCHA: coreCHA}
+func (p *Prober) measureSliceTraffic(coreCPU, coreCHA, sliceCHA int) (route.Observation, error) {
+	obs := route.Observation{SrcCHA: sliceCHA, DstCHA: coreCHA}
 	if err := p.ensureCalibrated(); err != nil {
 		return obs, err
 	}
@@ -968,13 +950,13 @@ func (p *Prober) measureSliceTraffic(coreCPU, coreCHA, sliceCHA int) (Observatio
 // LLC-only tiles this is the only way to observe them as a traffic *sink*
 // (they cannot host a receiving thread), complementing the fill-based
 // slice-source observations.
-func (p *Prober) MeasureRequestTraffic(ctx context.Context, coreCPU, coreCHA, sliceCHA int) (Observation, error) {
+func (p *Prober) MeasureRequestTraffic(ctx context.Context, coreCPU, coreCHA, sliceCHA int) (route.Observation, error) {
 	p.bind(ctx)
 	return p.measureRequestTraffic(coreCPU, coreCHA, sliceCHA)
 }
 
-func (p *Prober) measureRequestTraffic(coreCPU, coreCHA, sliceCHA int) (Observation, error) {
-	obs := Observation{SrcCHA: coreCHA, DstCHA: sliceCHA}
+func (p *Prober) measureRequestTraffic(coreCPU, coreCHA, sliceCHA int) (route.Observation, error) {
+	obs := route.Observation{SrcCHA: coreCHA, DstCHA: sliceCHA}
 	if err := p.ensureCalibrated(); err != nil {
 		return obs, err
 	}
@@ -1019,13 +1001,13 @@ func (p *Prober) measureRequestTraffic(coreCPU, coreCHA, sliceCHA int) (Observat
 // (cache.IMCOf), and the IMC die positions are public — the resulting
 // observations carry absolute position information the core-pair
 // experiments cannot provide.
-func (p *Prober) MeasureMemoryTraffic(ctx context.Context, cpu, coreCHA, imc, numIMC int) (Observation, error) {
+func (p *Prober) MeasureMemoryTraffic(ctx context.Context, cpu, coreCHA, imc, numIMC int) (route.Observation, error) {
 	p.bind(ctx)
 	return p.measureMemoryTraffic(cpu, coreCHA, imc, numIMC)
 }
 
-func (p *Prober) measureMemoryTraffic(cpu, coreCHA, imc, numIMC int) (Observation, error) {
-	obs := Observation{SrcCHA: -1, DstCHA: coreCHA, Anchored: true, SrcIMC: imc}
+func (p *Prober) measureMemoryTraffic(cpu, coreCHA, imc, numIMC int) (route.Observation, error) {
+	obs := route.Observation{SrcCHA: -1, DstCHA: coreCHA, Anchored: true, SrcIMC: imc}
 	if err := p.ensureCalibrated(); err != nil {
 		return obs, err
 	}
@@ -1147,7 +1129,7 @@ func (p *Prober) runWith(ppin uint64, ro RunOptions) (*Result, error) {
 // expFunc runs one planned measurement and reports whether an
 // observation was recorded (false: skipped or degraded-around failure);
 // a non-nil error aborts the run.
-type expFunc func(op string, cpu, srcCHA, dstCHA int, skip bool, run func() (Observation, error)) (bool, error)
+type expFunc func(op string, cpu, srcCHA, dstCHA int, skip bool, run func() (route.Observation, error)) (bool, error)
 
 // initRun builds the Result shell shared by both collectors and the
 // experiment closure that funnels every measurement through the
@@ -1199,7 +1181,7 @@ func (p *Prober) initRun(ppin uint64, mapping []int, failures []Failure) (*Resul
 	failed := p.reg.Counter("probe/experiments/failed")
 	skipped := p.reg.Counter("probe/experiments/skipped")
 	byOp := p.reg.CounterVec("probe/experiments_by_op", "op")
-	experiment := func(op string, cpu, srcCHA, dstCHA int, skip bool, run func() (Observation, error)) (bool, error) {
+	experiment := func(op string, cpu, srcCHA, dstCHA int, skip bool, run func() (route.Observation, error)) (bool, error) {
 		res.Planned++
 		planned.Inc()
 		byOp.With(op).Inc()
@@ -1252,7 +1234,7 @@ func (p *Prober) runExhaustive(ppin uint64, ro RunOptions) (*Result, error) {
 			srcCHA, sinkCHA := mapping[src], mapping[sink]
 			src, sink := src, sink
 			_, err := experiment("pair", src, srcCHA, sinkCHA, srcCHA < 0 || sinkCHA < 0,
-				func() (Observation, error) { return p.measureTraffic(src, sink, srcCHA, sinkCHA) })
+				func() (route.Observation, error) { return p.measureTraffic(src, sink, srcCHA, sinkCHA) })
 			if err != nil {
 				return nil, err
 			}
@@ -1263,12 +1245,12 @@ func (p *Prober) runExhaustive(ppin uint64, ro RunOptions) (*Result, error) {
 			for cpu, coreCHA := range mapping {
 				sliceCHA, cpu, coreCHA := sliceCHA, cpu, coreCHA
 				_, err := experiment("slice", cpu, sliceCHA, coreCHA, coreCHA < 0,
-					func() (Observation, error) { return p.measureSliceTraffic(cpu, coreCHA, sliceCHA) })
+					func() (route.Observation, error) { return p.measureSliceTraffic(cpu, coreCHA, sliceCHA) })
 				if err != nil {
 					return nil, err
 				}
 				_, err = experiment("request", cpu, coreCHA, sliceCHA, coreCHA < 0,
-					func() (Observation, error) { return p.measureRequestTraffic(cpu, coreCHA, sliceCHA) })
+					func() (route.Observation, error) { return p.measureRequestTraffic(cpu, coreCHA, sliceCHA) })
 				if err != nil {
 					return nil, err
 				}
@@ -1279,7 +1261,7 @@ func (p *Prober) runExhaustive(ppin uint64, ro RunOptions) (*Result, error) {
 		for cpu, coreCHA := range mapping {
 			imc, cpu, coreCHA := imc, cpu, coreCHA
 			_, err := experiment("memory", cpu, -1, coreCHA, coreCHA < 0,
-				func() (Observation, error) { return p.measureMemoryTraffic(cpu, coreCHA, imc, ro.NumIMCs) })
+				func() (route.Observation, error) { return p.measureMemoryTraffic(cpu, coreCHA, imc, ro.NumIMCs) })
 			if err != nil {
 				return nil, err
 			}
@@ -1380,7 +1362,7 @@ func (p *Prober) runPlanned(ppin uint64, ro RunOptions) (*Result, error) {
 				return nil, err
 			}
 			if done {
-				pm.Observe(ci, planObservation(res.Observations[len(res.Observations)-1]))
+				pm.Observe(ci, res.Observations[len(res.Observations)-1])
 			} else {
 				pm.Fail(ci)
 			}
@@ -1423,28 +1405,20 @@ func (p *Prober) runCandidate(experiment expFunc, c plan.Candidate, ro RunOption
 	switch c.Kind {
 	case plan.KindPair:
 		return experiment("pair", c.SrcCPU, c.SrcCHA, c.DstCHA, false,
-			func() (Observation, error) { return p.measureTraffic(c.SrcCPU, c.DstCPU, c.SrcCHA, c.DstCHA) })
+			func() (route.Observation, error) { return p.measureTraffic(c.SrcCPU, c.DstCPU, c.SrcCHA, c.DstCHA) })
 	case plan.KindSlice:
 		return experiment("slice", c.DstCPU, c.SrcCHA, c.DstCHA, false,
-			func() (Observation, error) { return p.measureSliceTraffic(c.DstCPU, c.DstCHA, c.SrcCHA) })
+			func() (route.Observation, error) { return p.measureSliceTraffic(c.DstCPU, c.DstCHA, c.SrcCHA) })
 	case plan.KindRequest:
 		return experiment("request", c.SrcCPU, c.SrcCHA, c.DstCHA, false,
-			func() (Observation, error) { return p.measureRequestTraffic(c.SrcCPU, c.SrcCHA, c.DstCHA) })
+			func() (route.Observation, error) { return p.measureRequestTraffic(c.SrcCPU, c.SrcCHA, c.DstCHA) })
 	case plan.KindMemory:
 		return experiment("memory", c.DstCPU, -1, c.DstCHA, false,
-			func() (Observation, error) { return p.measureMemoryTraffic(c.DstCPU, c.DstCHA, c.IMC, ro.NumIMCs) })
+			func() (route.Observation, error) {
+				return p.measureMemoryTraffic(c.DstCPU, c.DstCHA, c.IMC, ro.NumIMCs)
+			})
 	}
 	return false, cmerr.New(cmerr.Permanent, stage, "unknown candidate kind %d", c.Kind)
-}
-
-// planObservation converts a recorded observation into the planner's
-// mirror type. The observer slices are shared read-only.
-func planObservation(o Observation) plan.Observation {
-	return plan.Observation{
-		SrcCHA: o.SrcCHA, DstCHA: o.DstCHA,
-		Anchored: o.Anchored, SrcIMC: o.SrcIMC,
-		Up: o.Up, Down: o.Down, Horz: o.Horz,
-	}
 }
 
 // runStep1 is mapCoresToCHAs routed through the step-1 cache when one is

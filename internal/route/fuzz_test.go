@@ -1,0 +1,159 @@
+package route
+
+import (
+	"testing"
+
+	"coremap/internal/mesh"
+)
+
+// bytesrc hands out fuzz input one small choice at a time; an exhausted
+// input reads as zeros, so every byte string decodes to some instance.
+type bytesrc []byte
+
+func (b *bytesrc) intn(n int) int {
+	if len(*b) == 0 || n <= 1 {
+		return 0
+	}
+	v := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return v
+}
+
+// instance is one decoded fuzz case: a grid, memory-controller
+// positions and two placements over it — the truth, with distinct
+// tiles, and an arbitrary candidate.
+type instance struct {
+	rows, cols  int
+	imc         []mesh.Coord
+	truth, cand []mesh.Coord
+}
+
+func decodeInstance(b *bytesrc) instance {
+	in := instance{rows: 1 + b.intn(4), cols: 1 + b.intn(4)}
+	cell := func(i int) mesh.Coord { return mesh.Coord{Row: i / in.cols, Col: i % in.cols} }
+	cells := in.rows * in.cols
+	for i := 1 + b.intn(2); i > 0; i-- {
+		in.imc = append(in.imc, cell(b.intn(cells)))
+	}
+	// A partial Fisher-Yates shuffle gives the truth distinct tiles.
+	perm := make([]int, cells)
+	for i := range perm {
+		perm[i] = i
+	}
+	n := 1 + b.intn(cells)
+	for i := 0; i < n; i++ {
+		j := i + b.intn(cells-i)
+		perm[i], perm[j] = perm[j], perm[i]
+		in.truth = append(in.truth, cell(perm[i]))
+	}
+	// The candidate is the truth with a few tiles moved anywhere
+	// (collisions allowed), so it satisfies some clauses and not others.
+	in.cand = append([]mesh.Coord(nil), in.truth...)
+	for i := b.intn(3); i > 0; i-- {
+		in.cand[b.intn(n)] = cell(b.intn(cells))
+	}
+	return in
+}
+
+// observe builds the exact observation of a flow under placement pos by
+// classifying every tile, as step 2 reports it: observers in ascending
+// CHA order.
+func observe(o Observation, pos, imc []mesh.Coord) Observation {
+	src, dst := o.Source(pos, imc), pos[o.DstCHA]
+	o.Up, o.Down, o.Horz = nil, nil, nil
+	for k, t := range pos {
+		switch Classify(src, dst, t) {
+		case ChanUp:
+			o.Up = append(o.Up, k)
+		case ChanDown:
+			o.Down = append(o.Down, k)
+		case ChanHorz:
+			o.Horz = append(o.Horz, k)
+		}
+	}
+	return o
+}
+
+// holdsAll evaluates o on pos through the decoded clauses alone: every
+// Linear clause, and the disjunction as "every eastbound SrcBounds and
+// DstBounds clause holds, or every westbound one". It returns the first
+// failing linear clause, a Horz clause when only the disjunction fails,
+// or the zero Lin.
+func holdsAll(o *Observation, pos, imc []mesh.Coord, srcGap int) Lin {
+	for _, l := range o.Linear(nil, imc) {
+		if !l.Holds(pos) {
+			return l
+		}
+	}
+	if len(o.Horz) == 0 {
+		return Lin{}
+	}
+	east, west := true, true
+	for _, k := range o.Horz {
+		e, w := o.SrcBounds(k, imc, srcGap)
+		east = east && e.Holds(pos)
+		west = west && w.Holds(pos)
+		if k != o.DstCHA {
+			e, w = o.DstBounds(k)
+			east = east && e.Holds(pos)
+			west = west && w.Holds(pos)
+		}
+	}
+	if !east && !west {
+		return Lin{Kind: Horz}
+	}
+	return Lin{}
+}
+
+// FuzzObservationModel checks the observation model against itself on
+// random grids up to 4×4: the observation Classify predicts from a
+// placement satisfies that placement's clauses, and for any placement
+// and observation Check names exactly the clause the decoded clauses say
+// fails first. Both source-gap forms, and memory-anchored sources, are
+// covered.
+func FuzzObservationModel(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 3, 1, 4, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 2, 0, 3, 1, 2, 0, 1})
+	f.Add([]byte{1, 3, 0, 1, 15, 9, 2, 7, 1, 1, 12, 3, 1, 0, 6, 0, 5, 4})
+	f.Add([]byte{2, 1, 1, 7, 3, 11, 5, 2, 0, 8, 1, 1, 0, 9, 2, 4, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := bytesrc(data)
+		in := decodeInstance(&b)
+		n := len(in.truth)
+		o := Observation{DstCHA: b.intn(n)}
+		if b.intn(2) == 1 {
+			o.Anchored, o.SrcCHA, o.SrcIMC = true, -1, b.intn(len(in.imc))
+		} else if n > 1 {
+			o.SrcCHA = (o.DstCHA + 1 + b.intn(n-1)) % n
+		} else {
+			t.Skip("a one-CHA grid has no CHA-sourced flow")
+		}
+		o = observe(o, in.truth, in.imc)
+		for _, gap := range []int{0, 1} {
+			if l := Check(&o, in.truth, in.imc, gap); l.Kind != None {
+				t.Fatalf("srcGap %d: truth %v violates %s@%d of its own observation %+v", gap, in.truth, l.Kind, l.K, o)
+			}
+		}
+		// Perturb the observation too, so the comparison also sees
+		// observations no placement explains.
+		for i := b.intn(3); i > 0; i-- {
+			k := b.intn(n)
+			switch b.intn(3) {
+			case 0:
+				o.Up = append(o.Up, k)
+			case 1:
+				o.Down = append(o.Down, k)
+			default:
+				o.Horz = append(o.Horz, k)
+			}
+		}
+		for _, gap := range []int{0, 1} {
+			for _, pos := range [][]mesh.Coord{in.truth, in.cand} {
+				got, want := Check(&o, pos, in.imc, gap), holdsAll(&o, pos, in.imc, gap)
+				if got != want {
+					t.Fatalf("srcGap %d: on %v, Check = %+v, decoded clauses give %+v (observation %+v)", gap, pos, got, want, o)
+				}
+			}
+		}
+	})
+}
