@@ -15,20 +15,20 @@ test:
 
 # Race-check the concurrent parts of the tree: the survey worker pools,
 # the covert-channel harness, the adaptive planner and the telemetry
-# layer, plus the ILP package whose solver they all call
-# concurrently — and the goroutine-leak check over cancelled solves
-# (mirrors the CI race job).
+# layer, plus the ILP package whose enumeration they all call
+# concurrently — and the goroutine-leak check over cancelled
+# enumerations and maps (mirrors the CI race job).
 race:
 	go test -race ./internal/ilp/ ./internal/experiments/ ./internal/covert/ ./internal/plan/ ./internal/obs/ -timeout 1800s
-	go test -race -run 'TestSolveCancel|TestMapMachineCancel' -count=1 ./internal/ilp/ . -timeout 300s
+	go test -race -run 'TestEnumerateCancellation|TestMapMachineCancel' -count=1 ./internal/ilp/ . -timeout 300s
 
-# Solve and Enumerate against exhaustive enumeration, the resumable
+# Enumerate against exhaustive enumeration, the resumable
 # Enumerator against fresh enumeration, the observation model against
 # itself, and the canonical form and cache fingerprint against their
 # invariants, beyond the seed corpora (mirrors the fuzz steps of the CI
 # race job).
 fuzz:
-	go test -run XXX -fuzz FuzzSolveBruteForce -fuzztime 30s ./internal/ilp
+	go test -run XXX -fuzz FuzzEnumerateBruteForce -fuzztime 30s ./internal/ilp
 	go test -run XXX -fuzz FuzzEnumerateResume -fuzztime 30s ./internal/ilp
 	go test -run XXX -fuzz FuzzObservationModel -fuzztime 30s ./internal/route
 	go test -run XXX -fuzz FuzzCanonical -fuzztime 30s ./internal/locate

@@ -76,11 +76,11 @@ func TestAnchoredMapsAreAbsolute(t *testing.T) {
 
 // TestAnchorsImproveHeavilyFusedParts: on the Ice Lake part (22 of 40
 // tiles inactive), anchoring must strictly improve absolute accuracy and
-// shrink the ILP search. Accuracy is checked on the default planned
-// maps. Those are picked from the planner's survivor set without a
-// search, so the search effort is compared on exhaustively surveyed
-// (NoPlan) maps, where the ILP still runs — the choice
-// experiments.Ablations makes for its MeanSolverNodes.
+// shrink the search. Accuracy is checked on the default planned maps.
+// Those are picked from the planner's survivor set without a search, so
+// the search effort is compared on exhaustively surveyed (NoPlan) maps,
+// which enumerate the feasible set — the choice experiments.Ablations
+// makes for its MeanSolverNodes.
 func TestAnchorsImproveHeavilyFusedParts(t *testing.T) {
 	m1, plain := anchoredMap(t, machine.SKU6354, 0, 7, false)
 	m2, anchored := anchoredMap(t, machine.SKU6354, 0, 7, true)

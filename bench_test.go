@@ -16,7 +16,6 @@ import (
 	"coremap"
 	"coremap/internal/covert"
 	"coremap/internal/experiments"
-	"coremap/internal/ilp"
 	"coremap/internal/locate"
 	"coremap/internal/machine"
 	"coremap/internal/mesh"
@@ -342,8 +341,9 @@ func BenchmarkProbe_Step1(b *testing.B) {
 	}
 }
 
-// BenchmarkILP_Reconstruct solves the placement ILP from pre-measured
-// observations.
+// BenchmarkILP_Reconstruct reconstructs a map from pre-measured
+// exhaustive-survey observations: one enumeration of the placement ILP's
+// feasible set and the pick over it.
 func BenchmarkILP_Reconstruct(b *testing.B) {
 	m := machine.Generate(machine.SKU8259CL, 0, machine.Config{Seed: 5})
 	p, err := probe.New(m, probe.Options{Seed: 5})
@@ -362,33 +362,6 @@ func BenchmarkILP_Reconstruct(b *testing.B) {
 			Cols:         m.SKU.Cols,
 			Observations: meas.Observations,
 		}, locate.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkILP_Solver exercises the branch-and-bound core on a packing
-// model.
-func BenchmarkILP_Solver(b *testing.B) {
-	build := func() (*ilp.Model, []ilp.Var) {
-		m := ilp.NewModel()
-		vars := make([]ilp.Var, 12)
-		for i := range vars {
-			vars[i] = m.NewVar("x", 0, 20)
-		}
-		for i := 0; i+1 < len(vars); i++ {
-			m.AddGE("ord", []ilp.Term{ilp.T(1, vars[i+1]), ilp.T(-1, vars[i])}, 1)
-		}
-		obj := make([]ilp.Term, len(vars))
-		for i := range vars {
-			obj[i] = ilp.T(1, vars[i])
-		}
-		m.SetObjective(obj)
-		return m, vars
-	}
-	for i := 0; i < b.N; i++ {
-		m, _ := build()
-		if _, err := ilp.Solve(context.Background(), m, ilp.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

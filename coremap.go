@@ -60,7 +60,7 @@ var (
 type Options struct {
 	// Probe tunes the measurement stage.
 	Probe probe.Options
-	// Locate tunes the ILP reconstruction.
+	// Locate tunes the reconstruction.
 	Locate locate.Options
 	// PaperFaithful disables the slice-source measurement extension so
 	// only the paper's core-pair experiments run.
@@ -98,16 +98,14 @@ type Result struct {
 	// Anchored reports that memory-anchored observations pinned the map
 	// in absolute die coordinates.
 	Anchored bool `json:"anchored"`
-	// Optimal reports whether the map is proven optimal: by the ILP, or
-	// by a pick over the planner's complete survivor set.
+	// Optimal reports whether the map is proven optimal. Every map is
+	// picked from a complete feasible set, so it always is.
 	Optimal bool `json:"optimal"`
-	// SolverNodes is the branch-and-bound effort spent (0 when the map
-	// was picked from the planner's survivor set).
+	// SolverNodes is the enumeration nodes spent; 0 when picked from
+	// the planner's survivors.
 	SolverNodes int `json:"solver_nodes"`
 	// Candidates is the number of distinct placements the observations
-	// admit, for a map picked from the planner's survivor set: counted
-	// up to mirror and translation unless Anchored. 0 when the map was
-	// solved (NoPlan, or a planned survey that fell back).
+	// admit: counted up to mirror and translation unless Anchored.
 	Candidates int `json:"candidates,omitempty"`
 	// Ambiguous reports Candidates > 1: more than one placement explains
 	// every observation, and the packing objective chose among them, so
@@ -122,7 +120,7 @@ type Result struct {
 
 // MapMachine runs the full locating pipeline on a host. The context
 // governs the whole run: cancellation or deadline expiry stops the
-// measurement within one host operation and the ILP search at the next
+// measurement within one host operation and the enumeration at the next
 // node boundary, returning a cmerr.Interrupted error. Host faults are
 // retried (probe.Options.OpRetries) and, where retry cannot help, degraded
 // around: the result is then marked Degraded with its measurement
@@ -191,7 +189,7 @@ func MapMachine(ctx context.Context, h hostif.Host, die DieInfo, opts Options) (
 // filtered it under its own options: a different bounds form (possible
 // with an explicit Options.Probe.Plan) or a different grid would make
 // the set describe another problem, and picking from it could return a
-// map the solver would not.
+// map a fresh enumeration would not.
 func survivors(meas *probe.Result, po *plan.Options, die DieInfo, lo locate.Options) [][]mesh.Coord {
 	if po == nil || po.PaperExactBounds != lo.PaperExactBounds ||
 		po.Rows != die.Rows || po.Cols != die.Cols || !slices.Equal(po.IMCPositions, die.IMC) {
@@ -206,14 +204,16 @@ func (r *Result) Render() string {
 	return stats.RenderMap(r.Die.Rows, r.Die.Cols, r.Pos, r.OSToCHA)
 }
 
-// SearchSummary says how the map was reconstructed: picked from the
-// planner's survivor set, with its candidate count (and whether it is
-// ambiguous), or solved by branch-and-bound, with the nodes searched.
+// SearchSummary says how the map was reconstructed — picked from the
+// planner's survivor set, or from an enumeration of the feasible set with
+// the nodes it searched — with its candidate count and whether it is
+// ambiguous.
 func (r *Result) SearchSummary() string {
-	if r.Candidates == 0 {
-		return fmt.Sprintf("ILP solve, optimal=%v, %d search nodes", r.Optimal, r.SolverNodes)
+	from := "the planner's survivors"
+	if r.SolverNodes > 0 {
+		from = fmt.Sprintf("an enumeration of the feasible set (%d search nodes)", r.SolverNodes)
 	}
-	s := fmt.Sprintf("picked from the planner's survivors, optimal=%v, %d candidate placement(s)", r.Optimal, r.Candidates)
+	s := fmt.Sprintf("picked from %s, optimal=%v, %d candidate placement(s)", from, r.Optimal, r.Candidates)
 	if r.Ambiguous {
 		s += " — AMBIGUOUS: several placements explain every observation and the packing objective chose one"
 	}

@@ -26,7 +26,7 @@ type AccuracyResult struct {
 	// MeanRelative is the mean pairwise order agreement (1.0 = every
 	// relative position correct even when vacant rows compact).
 	MeanRelative float64
-	// MeanSolverNodes is the mean branch-and-bound effort (0 for maps
+	// MeanSolverNodes is the mean enumeration effort (0 for maps
 	// picked from the planner's survivors, so near 0 on planned surveys).
 	MeanSolverNodes float64
 	// LstopoAccuracy is the fraction of consecutive-OS-ID pairs that are

@@ -26,7 +26,7 @@ import (
 // Caches bundles the pipeline's two memoization layers: the probe-side
 // measurement cache (keyed by chip PPIN) and the reconstruction cache
 // (keyed by the canonical observation fingerprint). A survey threading one
-// Caches through all its instances pays for one ILP solve per *distinct
+// Caches through all its instances pays for one reconstruction per *distinct
 // observed pattern* — the cache hit rate mirrors Table II's
 // distinct-pattern counts — and re-surveys of the same population skip
 // measurement entirely.
@@ -88,7 +88,7 @@ type Config struct {
 	Quick bool
 	// NoCache disables the measurement and reconstruction caches,
 	// reproducing the uncached baseline (every instance measured and
-	// solved from scratch). The printed tables are identical either way
+	// reconstructed from scratch). The printed tables are identical either way
 	// apart from the "[cache]" statistic lines.
 	NoCache bool
 	// Caches supplies the cache set to thread through every survey. nil
@@ -215,8 +215,8 @@ func (c Config) probeOptions(i int) probe.Options {
 
 // locateOptions builds the per-instance reconstruction options: defaults
 // plus the shared reconstruction cache when caching is on. The parallelism
-// lives in forEachInstance, which fans out across instances; each solve
-// is single-threaded.
+// lives in forEachInstance, which fans out across instances; each
+// reconstruction is single-threaded.
 func (c Config) locateOptions() locate.Options {
 	var o locate.Options
 	if c.Caches != nil {

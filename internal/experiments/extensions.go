@@ -247,8 +247,9 @@ func Ablations(ctx context.Context, cfg Config) ([]AblationResult, error) {
 			opts := v.opts
 			opts.Probe = probe.Options{Seed: cfg.Seed + int64(i)}
 			// The ablations compare how much *information* each
-			// measurement-set variant hands the solver (MeanSolverNodes is
-			// the yardstick), so they must survey exhaustively: the adaptive
+			// measurement-set variant hands the reconstruction
+			// (MeanSolverNodes, its enumeration nodes, is the
+			// yardstick), so they must survey exhaustively: the adaptive
 			// planner deliberately withholds redundant experiments, which
 			// would measure the planner's scheduling instead of the
 			// variant's information content.

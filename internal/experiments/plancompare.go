@@ -27,8 +27,7 @@ type PlanCompareResult struct {
 	// remaining experiment could split the surviving placement set
 	// (rather than by running out of candidates).
 	Converged bool
-	// Candidates is the planned map's candidate count (0 when it was
-	// solved rather than picked from the survivors).
+	// Candidates is the planned map's candidate count.
 	Candidates int
 	// OpsGated marks the instance the host-operation gate applies to:
 	// the paper's Table I SKU. The Ice Lake instance is the claim
@@ -44,8 +43,8 @@ type PlanCompareResult struct {
 // whether the planner converged. It is the CI smoke check for the
 // planner's two contracts: identical answers, fewer operations. The
 // planned map is picked from the planner's survivor set and the
-// exhaustive one solved, so identity also cross-checks the pick against
-// the solver.
+// exhaustive one from a fresh enumeration, so identity also cross-checks
+// the survivors against the enumeration.
 func PlanCompare(ctx context.Context, cfg Config) ([]*PlanCompareResult, error) {
 	cfg = cfg.withDefaults()
 	var out []*PlanCompareResult

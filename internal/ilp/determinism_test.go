@@ -8,11 +8,10 @@ import (
 	"testing"
 )
 
-// The solver promises that a Solution — Values, Objective and Nodes — is
-// a pure function of the model and options: ties between equal-objective
-// solutions are broken by the canonical lexicographic rule, and the search
-// is one deterministic depth-first walk. This file pins that promise on a
-// fixed corpus.
+// Enumerate promises that its result — the solutions, their order and
+// the node count — is a pure function of the model and options: the
+// search is one deterministic depth-first walk. This file pins that
+// promise on a fixed corpus.
 
 // corpusModel is one reproducible instance of the determinism corpus.
 type corpusModel struct {
@@ -20,31 +19,27 @@ type corpusModel struct {
 	build func() *Model
 }
 
-// packingModel is the ordered-chain packing model the solver benchmarks
-// use: n variables forced strictly increasing, minimizing their sum.
+// packingModel is an ordered chain: n variables forced strictly
+// increasing.
 func packingModel(n int, span int64) *Model {
 	m := NewModel()
 	vars := make([]Var, n)
-	obj := make([]Term, n)
 	for i := range vars {
 		vars[i] = m.NewVar("x", 0, span)
-		obj[i] = T(1, vars[i])
 	}
 	for i := 0; i+1 < n; i++ {
 		m.AddGE("ord", []Term{T(1, vars[i+1]), T(-1, vars[i])}, 1)
 	}
-	m.SetObjective(obj)
 	return m
 }
 
-// placementModel mimics the locate formulation in miniature: tile
+// placementModel is a big-M placement formulation in miniature: tile
 // row/column variables, big-M direction disjunctions, one-hot channeling
-// and occupancy indicators with a packing objective. It has many
-// equal-objective optima (mirrored and permuted placements), which is
-// exactly what the lexicographic tie-break must resolve to one canonical
-// answer.
+// and occupancy indicators. Its feasible set is full of mirrored and
+// permuted placements, and every placement has exactly one completion
+// of its auxiliary binaries.
 func placementModel(tiles, rows, cols int) *Model {
-	const bigM = 64
+	const big = 64 // exceeds every coordinate difference and tile count
 	m := NewModel()
 	r := make([]Var, tiles)
 	c := make([]Var, tiles)
@@ -59,12 +54,10 @@ func placementModel(tiles, rows, cols int) *Model {
 		ne := m.NewBinary(fmt.Sprintf("NE%d", i))
 		nw := m.NewBinary(fmt.Sprintf("NW%d", i))
 		m.AddEq(fmt.Sprintf("dir%d", i), []Term{T(1, ne), T(1, nw)}, 1)
-		m.AddLE(fmt.Sprintf("east%d", i), []Term{T(1, c[i]), T(-1, c[i+1]), T(-bigM, ne)}, -1)
-		m.AddLE(fmt.Sprintf("west%d", i), []Term{T(1, c[i+1]), T(-1, c[i]), T(-bigM, nw)}, -1)
+		m.AddLE(fmt.Sprintf("east%d", i), []Term{T(1, c[i]), T(-1, c[i+1]), T(-big, ne)}, -1)
+		m.AddLE(fmt.Sprintf("west%d", i), []Term{T(1, c[i+1]), T(-1, c[i]), T(-big, nw)}, -1)
 	}
-	// One-hot row encoding with occupancy indicators feeding the packing
-	// objective, as in locate's addObjective.
-	var obj []Term
+	// One-hot row encoding with occupancy indicators.
 	oh := make([][]Var, tiles)
 	for i := 0; i < tiles; i++ {
 		oh[i] = make([]Var, rows)
@@ -88,11 +81,9 @@ func placementModel(tiles, rows, cols int) *Model {
 		}
 		lower := append([]Term{T(1, ind)}, negateTerms(occ)...)
 		m.AddLE(fmt.Sprintf("ind-lo%d", k), lower, 0)
-		upper := append(append([]Term{}, occ...), T(-bigM, ind))
+		upper := append(append([]Term{}, occ...), T(-big, ind))
 		m.AddLE(fmt.Sprintf("ind-hi%d", k), upper, 0)
-		obj = append(obj, T(int64(k+1), ind))
 	}
-	m.SetObjective(obj)
 	return m
 }
 
@@ -130,13 +121,6 @@ func randomModel(seed int64) *Model {
 			m.AddGE("c", terms, rhs-6)
 		}
 	}
-	if r.Intn(4) > 0 { // leave some models objective-free
-		var obj []Term
-		for v := 0; v < nVars; v++ {
-			obj = append(obj, T(int64(r.Intn(9))-4, Var(v)))
-		}
-		m.SetObjective(obj)
-	}
 	return m
 }
 
@@ -156,109 +140,82 @@ func corpus() []corpusModel {
 	return models
 }
 
+// corpusProjection is the projection a corpus model is enumerated on:
+// its first four variables — two tiles' R and C on a placement model —
+// so the projected set stays small while the unprojected rest still
+// goes through the completion check.
+func corpusProjection(m *Model) []Var {
+	proj := make([]Var, min(4, m.NumVars()))
+	for i := range proj {
+		proj[i] = Var(i)
+	}
+	return proj
+}
+
+// enumerateCorpus enumerates one corpus model, which must complete.
+func enumerateCorpus(t *testing.T, cm corpusModel) *EnumResult {
+	t.Helper()
+	m := cm.build()
+	res, err := Enumerate(context.Background(), m, EnumOptions{Project: corpusProjection(m)})
+	if err != nil {
+		t.Fatalf("%s: %v", cm.name, err)
+	}
+	if !res.Complete {
+		t.Fatalf("%s: corpus model did not complete within the node budget", cm.name)
+	}
+	return res
+}
+
 // TestSolveDeterministicAcrossWorkers is the regression test for the
-// solver's reproducibility guarantee. (The name predates the removal of
-// the parallel engine.) Every corpus model is solved twice, once before
-// and once after the whole corpus has run, so each second solve follows
-// other models' solves; values, objective and node count must agree.
+// enumerator's reproducibility guarantee. (The name predates the removal
+// of the parallel engine and of branch-and-bound Solve.) Every corpus
+// model is enumerated twice, once before and once after the whole
+// corpus has run, so each second run follows other models' runs;
+// solutions, their order and the node count must agree.
 func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 	models := corpus()
-	type result struct {
-		sol *Solution
-		err error
-	}
-	first := make([]result, len(models))
+	first := make([]*EnumResult, len(models))
 	for i, cm := range models {
-		sol, err := Solve(context.Background(), cm.build(), Options{})
-		first[i] = result{sol, err}
+		first[i] = enumerateCorpus(t, cm)
 	}
 	for i, cm := range models {
 		t.Run(cm.name, func(t *testing.T) {
-			ref, refErr := first[i].sol, first[i].err
-			if refErr == nil {
-				if !ref.Optimal {
-					t.Fatalf("corpus model did not complete within the node budget")
-				}
-				if err := CheckFeasible(cm.build(), ref.Values); err != nil {
-					t.Fatalf("returned infeasible solution: %v", err)
-				}
+			ref := first[i]
+			res := enumerateCorpus(t, cm)
+			if res.Nodes != ref.Nodes {
+				t.Errorf("nodes %d, then %d", ref.Nodes, res.Nodes)
 			}
-			sol, err := Solve(context.Background(), cm.build(), Options{})
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("first solve err=%v, second solve err=%v", refErr, err)
-			}
-			if err != nil {
-				return
-			}
-			if sol.Objective != ref.Objective {
-				t.Errorf("objective %d, then %d", ref.Objective, sol.Objective)
-			}
-			if sol.Nodes != ref.Nodes {
-				t.Errorf("nodes %d, then %d", ref.Nodes, sol.Nodes)
-			}
-			if !reflect.DeepEqual(sol.Values, ref.Values) {
-				t.Errorf("values %v, then %v", ref.Values, sol.Values)
+			if !reflect.DeepEqual(res.Solutions, ref.Solutions) {
+				t.Errorf("solutions %v, then %v", ref.Solutions, res.Solutions)
 			}
 		})
 	}
 }
 
 // TestPooledStateIsolatedAcrossSolves: the free list and propagation
-// scratch are per-solve state, so a burst of interleaved solves of
-// different models must reproduce each model's canonical values exactly —
-// any stale pooled bound vector crossing a solve would break the equality.
+// scratch are per-enumeration state, so a burst of interleaved
+// enumerations of different models must reproduce each model's
+// solutions exactly — any stale pooled bound vector crossing runs would
+// break the equality.
 func TestPooledStateIsolatedAcrossSolves(t *testing.T) {
 	models := corpus()
-	ref := make(map[string]*Solution)
+	ref := make(map[string]*EnumResult)
 	for _, cm := range models {
-		sol, err := Solve(context.Background(), cm.build(), Options{})
-		if err != nil {
-			continue // infeasible corpus entries are exercised below anyway
-		}
-		ref[cm.name] = sol
+		ref[cm.name] = enumerateCorpus(t, cm)
 	}
 	for round := 0; round < 3; round++ {
-		// Reverse order on odd rounds so each solve follows a different
+		// Reverse order on odd rounds so each run follows a different
 		// predecessor's pooled state.
 		for i := range models {
 			cm := models[i]
 			if round%2 == 1 {
 				cm = models[len(models)-1-i]
 			}
-			sol, err := Solve(context.Background(), cm.build(), Options{})
-			want, ok := ref[cm.name]
-			if !ok {
-				if err == nil {
-					t.Fatalf("%s became feasible mid-test", cm.name)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("round %d %s: %v", round, cm.name, err)
-			}
-			if !reflect.DeepEqual(sol.Values, want.Values) {
-				t.Fatalf("round %d %s: values drifted across pooled solves:\n%v\n%v",
-					round, cm.name, sol.Values, want.Values)
+			res := enumerateCorpus(t, cm)
+			if want := ref[cm.name]; !reflect.DeepEqual(res.Solutions, want.Solutions) {
+				t.Fatalf("round %d %s: solutions drifted across pooled runs:\n%v\n%v",
+					round, cm.name, res.Solutions, want.Solutions)
 			}
 		}
-	}
-}
-
-// TestSolveLexicographicTieBreak pins the canonical tie-break itself: a
-// model whose optima are known and tied must return the lexicographically
-// smallest value vector.
-func TestSolveLexicographicTieBreak(t *testing.T) {
-	m := NewModel()
-	x := m.NewVar("x", 0, 3)
-	y := m.NewVar("y", 0, 3)
-	m.AddEq("sum", []Term{T(1, x), T(1, y)}, 3)
-	m.SetObjective([]Term{T(1, x), T(1, y)}) // every solution ties at 3
-	sol, err := Solve(context.Background(), m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Value(x) != 0 || sol.Value(y) != 3 {
-		t.Errorf("x=%d y=%d, want lexicographically smallest 0,3",
-			sol.Value(x), sol.Value(y))
 	}
 }

@@ -1,13 +1,13 @@
 package ilp
 
-// Solution enumeration. Where Solve finds the single canonical optimum,
-// Enumerate walks the same propagate-and-branch tree to collect *every*
-// distinct assignment of a projection of the variables that can be
-// extended to a feasible solution. It exists for the adaptive measurement
-// planner: the set of placements still consistent with the observations
-// collected so far is exactly the projection of the feasible region onto
-// the row/column variables, and its size is the survey's remaining
-// ambiguity.
+// Solution enumeration. Enumerate walks a propagate-and-branch tree to
+// collect *every* distinct assignment of a projection of the variables
+// that can be extended to a feasible solution. The set of placements
+// consistent with a survey's observations is exactly the projection of
+// the feasible region onto the row/column variables: the adaptive
+// measurement planner resumes one enumeration as observations arrive
+// and reads the survey's remaining ambiguity off its size, and the
+// reconstruction enumerates the final set once and picks from it.
 //
 // The search is resumable. An Enumerator keeps its open depth-first
 // frontier, its recorded projections and its dedup set between Run calls,
@@ -22,9 +22,8 @@ package ilp
 // depth-first search with ascending value order, so the projections are
 // discovered in lexicographic order over the branch order — a pure
 // function of the model and options, stable across runs and identical
-// whether the search ran in one Run or was resumed across many. It reuses
-// the solver's propagation machinery and the pool free-list discipline,
-// so a round of enumeration costs no steady-state allocations beyond the
+// whether the search ran in one Run or was resumed across many. Frame
+// bounds cycle through a pool free list, so a round of enumeration costs no steady-state allocations beyond the
 // solutions it returns.
 
 import (
@@ -78,8 +77,8 @@ type EnumOptions struct {
 	// leaf. Like Accept it may only grow stricter between Runs. Both
 	// slices are scratch, reused across calls; don't retain.
 	Prune func(vals []int64, fixed []bool) bool
-	// BranchOrder lists variables to branch first, as in Options. Any
-	// projected variable not listed is branched after the listed ones
+	// BranchOrder lists variables to branch first, in priority order;
+	// unlisted variables follow, smallest domain first. Any projected variable not listed is branched after the listed ones
 	// (but still before unprojected variables, so the projection is
 	// decided as early as possible). Defaults to Project order.
 	BranchOrder []Var
@@ -101,10 +100,9 @@ type EnumResult struct {
 }
 
 // Enumerate collects every distinct feasible assignment of the projected
-// variables, up to the configured cap and node budget. The model's
-// objective, if any, is ignored: enumeration asks "which placements are
-// possible", not "which is best". Infeasible models yield zero solutions
-// with Complete=true — that is an answer, not an error.
+// variables, up to the configured cap and node budget. Infeasible models
+// yield zero solutions with Complete=true — that is an answer, not an
+// error.
 //
 // On context cancellation Enumerate returns the solutions found so far
 // (Complete=false) together with ErrInterrupted.
@@ -116,9 +114,10 @@ func Enumerate(ctx context.Context, m *Model, opts EnumOptions) (*EnumResult, er
 	return e.Run(ctx, opts.MaxNodes)
 }
 
-// enumFrame is one enumeration subproblem: Solve's frame plus rows, the
-// solver's row count when the frame was created — rows appended after it
-// are cuts its bounds have not seen yet.
+// enumFrame is one enumeration subproblem: variable bounds, the
+// constraints to re-propagate (those touching the last-branched
+// variable), and rows, the solver's row count when the frame was created
+// — rows appended after it are cuts its bounds have not seen yet.
 type enumFrame struct {
 	lo, hi []int64
 	seed   []int32
@@ -206,9 +205,8 @@ func NewEnumerator(m *Model, opts EnumOptions) (*Enumerator, error) {
 		}
 	}
 
-	// The same propagate-and-branch machinery as Solve, minus the
-	// objective cut and the incumbent: nothing here may prune a feasible
-	// member of the projected set, so every one of them is reached.
+	// Nothing here may prune a feasible member of the projected set, so
+	// every one of them is reached.
 	s := &solver{m: m}
 	s.build(order)
 
@@ -373,7 +371,7 @@ func (e *Enumerator) verify(ctx context.Context, f found) (bool, error) {
 	for i, v := range e.opts.Project {
 		lo[v], hi[v] = f.proj[i], f.proj[i]
 	}
-	if !e.s.propagate(lo, hi, e.withRowsSince(nil, f.rows), PosInf, &e.sc) {
+	if !e.s.propagate(lo, hi, e.withRowsSince(nil, f.rows), &e.sc) {
 		return false, nil
 	}
 	return e.completable(ctx, lo, hi)
@@ -398,7 +396,7 @@ func (e *Enumerator) search(ctx context.Context) (complete bool, err error) {
 		e.stack[len(e.stack)-1] = enumFrame{}
 		e.stack = e.stack[:len(e.stack)-1]
 
-		if !s.propagate(f.lo, f.hi, e.frameSeed(f), PosInf, &e.sc) {
+		if !s.propagate(f.lo, f.hi, e.frameSeed(f), &e.sc) {
 			e.fl.Put(f.lo)
 			e.fl.Put(f.hi)
 			continue
@@ -426,8 +424,8 @@ func (e *Enumerator) search(ctx context.Context) (complete bool, err error) {
 			continue
 		}
 		v := s.pickVar(f.lo, f.hi)
-		// Pushing in reverse explores ascending values first, matching
-		// the solver's canonical order.
+		// Pushing in reverse explores ascending values first, so
+		// projections are discovered in lexicographic order.
 		// Ownership of nl/nh moves into the child frame; Put happens
 		// when the frame is popped.
 		for x := f.hi[v]; x >= f.lo[v]; x-- {
@@ -527,7 +525,7 @@ func (e *Enumerator) completable(ctx context.Context, lo, hi []int64) (bool, err
 	if v == -1 {
 		// All variables fixed and propagation held: a surviving fully
 		// fixed node satisfies every constraint (interval consistency at
-		// width zero is satisfaction), same as Solve's offer path.
+		// width zero is satisfaction).
 		return true, nil
 	}
 	if cerr := ctx.Err(); cerr != nil {
@@ -543,7 +541,7 @@ func (e *Enumerator) completable(ctx context.Context, lo, hi []int64) (bool, err
 		copy(nl, lo)
 		copy(nh, hi)
 		nl[v], nh[v] = x, x
-		if e.s.propagate(nl, nh, e.s.occ[v], PosInf, &e.sc) {
+		if e.s.propagate(nl, nh, e.s.occ[v], &e.sc) {
 			ok, err := e.completable(ctx, nl, nh)
 			if ok || err != nil {
 				e.fl.Put(nl)

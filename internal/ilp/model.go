@@ -1,13 +1,15 @@
-// Package ilp provides exact integer linear programming over bounded
-// integer variables, built from the standard library only.
+// Package ilp enumerates the feasible set of an integer linear program
+// over bounded integer variables, built from the standard library only.
 //
-// It exists to solve the paper's core-map reconstruction problem — an ILP
-// with integer tile-position variables, big-M-guarded direction
-// disjunctions, one-hot position encodings and occupancy indicators — but
-// the interface is generic: build a Model of bounded integer variables,
-// linear constraints and a linear objective, and Solve performs
-// branch-and-bound with fixpoint bounds propagation, returning a proven
-// optimum (or reporting infeasibility / a search-budget hit).
+// It exists for the paper's core-map reconstruction problem: the
+// placements that satisfy the observations' tile-position constraints
+// are the feasible set projected onto the position variables, and the
+// reconstruction picks the tightest-packed member of that set. The
+// interface is generic: build a Model of bounded integer variables and
+// linear constraints, and Enumerate walks a depth-first
+// propagate-and-branch tree (fixpoint bounds propagation at every node)
+// to collect every distinct feasible projection, or an Enumerator
+// resumes that walk as rows are appended.
 package ilp
 
 import (
@@ -48,7 +50,6 @@ type Model struct {
 	lo, hi []int64
 	names  []string
 	cons   []constraint
-	obj    []Term
 	// termSlab backs the constraint term rows: AddRange copies caller
 	// terms into slab windows, so call-site term literals stay on the
 	// caller's stack and the model costs one allocation per slab chunk
@@ -113,12 +114,6 @@ func (m *Model) AddEq(label string, terms []Term, rhs int64) {
 	m.AddRange(label, terms, rhs, rhs)
 }
 
-// SetObjective sets the linear function to minimize.
-func (m *Model) SetObjective(terms []Term) {
-	m.checkTerms(terms)
-	m.obj = m.dedupeTerms(terms)
-}
-
 // smallTerms bounds the row width below which dedupeTerms uses a
 // quadratic scan instead of a map; constraint rows in this codebase are
 // rarely more than a handful of terms wide.
@@ -159,22 +154,3 @@ func (m *Model) dedupeTerms(terms []Term) []Term {
 	}
 	return kept
 }
-
-// Solution is the result of a successful Solve.
-type Solution struct {
-	// Values holds one value per declared variable.
-	Values []int64
-	// Objective is the achieved objective value (0 when no objective was
-	// set).
-	Objective int64
-	// Optimal reports whether the solver proved optimality; false means
-	// the node budget expired with this incumbent in hand.
-	Optimal bool
-	// Nodes is the number of branch-and-bound nodes explored. Like
-	// Values, it is a pure function of the model and options: the search
-	// is one deterministic depth-first walk.
-	Nodes int
-}
-
-// Value returns the solved value of v.
-func (s *Solution) Value(v Var) int64 { return s.Values[v] }

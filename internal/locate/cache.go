@@ -13,11 +13,11 @@ import (
 // input. Survey workloads are its reason to exist: the paper's Table II
 // shows a 100-instance survey of one SKU collapses to a handful of
 // distinct core-location patterns, so with a shared Cache a survey pays
-// for one ILP solve per distinct pattern instead of one per instance —
+// for one enumeration per distinct pattern instead of one per instance —
 // the cache hit rate mirrors Table II's distinct-pattern counts.
 //
 // The cache is safe for concurrent use and single-flight: when N survey
-// goroutines miss on the same fingerprint at once, exactly one solves and
+// goroutines miss on the same fingerprint at once, exactly one enumerates and
 // the rest wait for its result (counted as coalesced in Stats).
 type Cache struct {
 	g *memo.Group
@@ -44,21 +44,18 @@ func (c *Cache) Register(reg *obs.Registry) error {
 	return c.g.Register(reg, "locate/cache")
 }
 
-// reconstruct is the cached version of Reconstruct's solve path. The
-// cached Map is private to the cache; every caller gets a clone so later
-// mutation cannot poison other hits.
+// reconstruct is the cached version of Reconstruct's enumeration path.
+// The cached Map is private to the cache; every caller gets a clone so
+// later mutation cannot poison other hits.
 //
-// Interrupted solves are never cached: how far a cancelled search got is a
-// property of that run's deadline, not of the fingerprinted input, so the
-// entry is forgotten and the best-effort incumbent (when one exists) is
-// handed only to the caller that ran the computation.
+// Interrupted enumerations are never cached: how far a cancelled search
+// got is a property of that run's deadline, not of the fingerprinted
+// input, so the entry is forgotten.
 func (c *Cache) reconstruct(ctx context.Context, in Input, opts Options) (*Map, error) {
 	key := Fingerprint(in, opts)
-	var partial *Map
 	v, err := c.g.Do(key, func() (any, error) {
 		m, err := reconstruct(ctx, in, opts)
 		if err != nil {
-			partial = m
 			return nil, err
 		}
 		return m, nil
@@ -67,7 +64,7 @@ func (c *Cache) reconstruct(ctx context.Context, in Input, opts Options) (*Map, 
 		if cmerr.IsInterrupted(err) {
 			c.g.Forget(key)
 		}
-		return partial, err
+		return nil, err
 	}
 	return v.(*Map).clone(), nil
 }

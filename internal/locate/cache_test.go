@@ -115,8 +115,8 @@ func TestFingerprintObservationOrderInvariant(t *testing.T) {
 // TestReconstructObservationOrderInvariant: the map itself — not just the
 // fingerprint — must be invariant under observation reordering, otherwise
 // the sorted fingerprint would serve one ordering's result for another.
-// (This leans on newBuilder declaring the position variables before any
-// per-observation variable; see its comment.)
+// (This leans on the pick's tie-break being the lexicographic order of
+// Pos, not the enumeration's discovery order.)
 func TestReconstructObservationOrderInvariant(t *testing.T) {
 	// An unanchored 4×4 subset has a genuine mirror tie, which is exactly
 	// where ordering sensitivity would surface.
@@ -157,8 +157,8 @@ func TestReconstructObservationOrderInvariant(t *testing.T) {
 	}
 }
 
-// TestFingerprintWorkersExcluded: the solver is deterministic in the
-// worker count, so Workers must not split the cache.
+// TestFingerprintWorkersExcluded: Workers is ignored, so it must not
+// split the cache.
 func TestFingerprintWorkersExcluded(t *testing.T) {
 	in, _ := testInput(3, 3)
 	if Fingerprint(in, Options{Workers: 1}) != Fingerprint(in, Options{Workers: 8}) {
@@ -195,8 +195,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 			return m, Options{}
 		},
 		"paperBounds": func() (Input, Options) { return in, Options{PaperExactBounds: true} },
-		"maxNodes":    func() (Input, Options) { return in, Options{MaxNodes: 12345} },
-		"sepRounds":   func() (Input, Options) { return in, Options{MaxSeparationRounds: 3} },
 	}
 	for name, mut := range mutations {
 		m, o := mut()
@@ -233,7 +231,7 @@ func TestFingerprintAnchorsByPosition(t *testing.T) {
 }
 
 // TestCacheCachesErrors: deterministic failures are results too; a second
-// caller must get the cached error without re-solving.
+// caller must get the cached error without re-enumerating.
 func TestCacheCachesErrors(t *testing.T) {
 	// Two tiles forced into mutual contradiction: each strictly above the
 	// other.

@@ -15,28 +15,30 @@ import (
 // encoding:
 //
 //   - observations are encoded as self-contained records and sorted, so
-//     the order the probe emitted them in is irrelevant (the solver's
-//     lexicographic tie-break makes Map.Pos order-independent too — the
-//     position variables are created before any per-observation variable,
-//     so they dominate the tie-break prefix);
+//     the order the probe emitted them in is irrelevant (the feasible
+//     set does not depend on it, and the pick's objective and
+//     lexicographic tie-break over Pos make Map.Pos order-independent
+//     too);
 //   - anchored observations resolve SrcIMC through IMCPositions into die
 //     coordinates, so the fingerprint does not depend on IMC numbering or
 //     on unreferenced IMCPositions entries;
-//   - only the Options fields that can change the reconstruction
-//     participate (PaperExactBounds, MaxNodes, MaxSeparationRounds).
-//     Workers is excluded: it is ignored (the solver is single-threaded).
+//   - only the Options field that can change the reconstruction
+//     participates (PaperExactBounds). Workers is excluded: it is
+//     ignored (the enumeration is single-threaded).
 //
 // fingerprintVersion is baked into the digest; bump it whenever the
 // encoding or the reconstruction semantics change so stale processes
 // cannot alias old entries. Version 3 dropped the NoPrune option from
 // the header: the dominance-pruned emitter is the only one. Version 4
 // dropped the topology-backend discriminator: the mesh is the only
-// substrate.
-const fingerprintVersion = 4
+// substrate. Version 5 dropped the search-budget and separation-round
+// options: the reconstruction enumerates the feasible set under a
+// constant budget, and there is no separation loop.
+const fingerprintVersion = 5
 
 // Fingerprint returns the canonical content digest of a reconstruction
 // problem: a header of the grid dimensions and the
-// Options fields that can change the reconstruction, followed by the
+// Options field that can change the reconstruction, followed by the
 // sorted, self-contained observation records. Reconstruct must have
 // validated in first (anchored observations index into IMCPositions).
 func Fingerprint(in Input, opts Options) memo.Key {
@@ -51,8 +53,6 @@ func Fingerprint(in Input, opts Options) memo.Key {
 	} else {
 		u(0)
 	}
-	u(int64(opts.MaxNodes))
-	u(int64(opts.MaxSeparationRounds))
 
 	recs := make([][]byte, 0, len(in.Observations))
 	for _, o := range in.Observations {

@@ -100,7 +100,7 @@ func FuzzFingerprintOrder(f *testing.F) {
 			o.Up, o.Down, o.Horz = chas(), chas(), chas()
 			in.Observations = append(in.Observations, o)
 		}
-		opts := Options{MaxNodes: b.intn(3) * 1000, MaxSeparationRounds: b.intn(3), PaperExactBounds: b.intn(2) == 1}
+		opts := Options{PaperExactBounds: b.intn(2) == 1}
 		key := Fingerprint(in, opts)
 
 		perm := in
@@ -133,8 +133,6 @@ func FuzzFingerprintOrder(f *testing.F) {
 			{"NumCHA", func(c *Input, _ *Options) { c.NumCHA++ }},
 			{"Rows", func(c *Input, _ *Options) { c.Rows++ }},
 			{"Cols", func(c *Input, _ *Options) { c.Cols++ }},
-			{"MaxNodes", func(_ *Input, o *Options) { o.MaxNodes++ }},
-			{"MaxSeparationRounds", func(_ *Input, o *Options) { o.MaxSeparationRounds++ }},
 			{"PaperExactBounds", func(_ *Input, o *Options) { o.PaperExactBounds = !o.PaperExactBounds }},
 			{"DstCHA", obsMut(func(o *route.Observation) { o.DstCHA++ })},
 			{"Up", obsMut(func(o *route.Observation) { o.Up = append(o.Up, 0) })},

@@ -1,42 +1,36 @@
 // Package locate implements step 3 of the core-locating method: turning
 // the partial traffic observations of internal/probe into the physical
-// core-tile map, by solving the paper's integer-linear-program formulation
-// (Sec. II-C) with internal/ilp.
+// core-tile map, following the paper's integer-linear-program
+// formulation (Sec. II-C).
 //
 // Variables per CHA tile i: row R_i and column C_i. Every observation
-// contributes:
+// contributes route's clauses:
 //
 //   - alignment: CHAs that saw vertical ingress share the source's column;
 //     CHAs that saw horizontal ingress share the sink's row;
 //   - vertical bounding boxes: up-ingress observers lie strictly below the
 //     source and not above the sink (reversed for down);
 //   - horizontal bounding boxes: because odd columns are mirrored, the
-//     true east/west direction is unknowable, so per-path binary
-//     "nullifier" variables NE_p/NW_p enable exactly one direction's
-//     bounds (big-M trick);
-//   - one-hot row/column encodings plus occupancy indicator variables
-//     feed a weighted objective that selects the tightest packed map.
+//     true east/west direction is unknowable, so the horizontal
+//     observers fit one direction of travel or the other (the paper's
+//     NE/NW nullifier disjunction);
 //
-// Tiles are additionally kept from overlapping by lazily adding pairwise
-// separation disjunctions — only for the (rare, LLC-only-tile) pairs the
-// relaxed solution actually collapses, which keeps the base model small.
+// and no two CHAs share a tile. Among the placements that satisfy all of
+// them, the paper's objective selects the tightest packed map: Σ(r+1)
+// over occupied rows plus Σ(c+1) over occupied columns.
 //
-// A planned survey usually makes the solve unnecessary. A converged
-// internal/plan planner holds every placement that satisfies these
-// constraints with all-distinct tiles (Input.Survivors), and the
-// solver's answer is the member with the smallest packing objective,
-// ties broken by the lexicographic order of positions. Reconstruct then
-// picks that member in one scan (pick.go) instead of building and
-// solving the model. Exhaustive (NoPlan) surveys, planner fallbacks and
-// surveys that never materialized the set still solve.
+// Reconstruct answers this exactly by picking from the complete feasible
+// set (pick.go). A converged internal/plan planner already holds that set
+// (Input.Survivors); otherwise Reconstruct enumerates it once with
+// internal/ilp over route.Space, the same model the planner resumes.
+// Either way the map is the objective-minimal placement, ties broken by
+// the lexicographic order of positions, and the map reports how many
+// candidate placements the observations admit.
 package locate
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
-	"strconv"
 
 	"coremap/internal/cmerr"
 	"coremap/internal/ilp"
@@ -44,10 +38,6 @@ import (
 	"coremap/internal/obs"
 	"coremap/internal/route"
 )
-
-// bigM nullifies guarded constraints; any value exceeding every possible
-// index difference and tile count works.
-const bigM = 64
 
 // Input is the reconstruction problem.
 type Input struct {
@@ -68,21 +58,17 @@ type Input struct {
 	// reconstruction's constraints over Observations under the same
 	// PaperExactBounds — a converged planner's survivor set
 	// (probe.Result.Survivors). Reconstruct then picks its answer from
-	// the set instead of solving (see pick.go); the answer is the one
-	// the solver would return. The slice is only read. It does not
-	// participate in Fingerprint: a pick never reaches the Cache.
+	// the set instead of enumerating it (see pick.go); the answer is the
+	// same. The slice is only read. It does not participate in
+	// Fingerprint: a pick never reaches the Cache.
 	Survivors [][]mesh.Coord
 }
 
 // Options tunes reconstruction.
 type Options struct {
-	// MaxNodes bounds the ILP search per solve (0 = ilp default).
-	MaxNodes int
-	// Workers is ignored; the solver is single-threaded. It is removed
-	// at the next benchmark change.
+	// Workers is ignored; the enumeration is single-threaded. It is
+	// removed at the next benchmark change.
 	Workers int
-	// MaxSeparationRounds bounds the lazy no-overlap loop.
-	MaxSeparationRounds int
 	// PaperExactBounds, when true, uses the paper's printed (looser)
 	// horizontal bounding-box inequalities (2)/(3) instead of the strict
 	// dimension-order-routing form. The strict form is the default; both
@@ -100,196 +86,50 @@ type Options struct {
 type Map struct {
 	// Pos maps CHA ID → tile coordinate.
 	Pos []mesh.Coord
-	// Rows, Cols echo the grid the map was solved on.
+	// Rows, Cols echo the grid the map was reconstructed on.
 	Rows, Cols int
 	// Anchored reports whether memory-anchored observations pinned the
 	// map in absolute die coordinates (compare with ScoreAbsolute; an
 	// unanchored map is only defined up to mirror/translation).
 	Anchored bool
-	// Optimal reports whether the map is proven optimal: by the ILP, or
-	// by a pick over the complete survivor set.
+	// Optimal reports that the map is proven optimal: it was picked
+	// from the complete feasible set, so it always is.
 	Optimal bool
-	// Nodes is the total branch-and-bound nodes over all solve rounds
-	// (0 for a pick).
+	// Nodes is the enumeration's search nodes; 0 when picked from
+	// Input.Survivors.
 	Nodes int
-	// SeparationRounds is how many lazy no-overlap rounds were needed.
-	SeparationRounds int
-	// Candidates is, for a map picked from Input.Survivors, the number
-	// of distinct placements the observations admit: counted up to
-	// mirror and translation (Canonical) on unanchored maps, as raw
-	// placements on anchored ones. 1 means the observations pin the map
-	// down; more means it is ambiguous and the objective chose. 0 when
-	// the map was solved.
+	// Candidates is the number of distinct placements the observations
+	// admit: counted up to mirror and translation (Canonical) on
+	// unanchored maps, as raw placements on anchored ones. 1 means the
+	// observations pin the map down; more means it is ambiguous and the
+	// objective chose.
 	Candidates int
 }
 
 // ErrUnsatisfiable reports that no placement explains the observations —
 // in practice a sign of measurement noise exceeding the probe threshold.
-// It is Permanent: re-solving the same observations cannot help.
+// It is Permanent: reconstructing the same observations cannot help.
 var ErrUnsatisfiable = cmerr.Sentinel(cmerr.Permanent, "locate: observations admit no placement")
 
-// ErrInterrupted reports that reconstruction was cancelled mid-solve. When
-// an ILP incumbent existed, Reconstruct returns it as a best-effort Map
-// (Optimal false) alongside this error. errors.Is(err, cmerr.Interrupted)
-// matches.
+// ErrInterrupted reports that reconstruction was cancelled mid-search;
+// no map comes back with it. errors.Is(err, cmerr.Interrupted) matches.
 var ErrInterrupted = cmerr.Sentinel(cmerr.Interrupted, "locate: reconstruction interrupted")
 
-// builder assembles the ILP.
-type builder struct {
-	m    *ilp.Model
-	r, c []ilp.Var
-	in   Input
-	// lbl is scratch for building label and name strings with strconv
-	// instead of fmt: one constraint label is minted per model row, and
-	// Sprintf's vararg boxing was the largest allocation source of model
-	// construction.
-	lbl []byte
-}
+// ErrSearchBudget reports that the enumeration ran out of search nodes
+// before the feasible set was complete, so no map can be proven the
+// objective's minimum. It is Permanent: the budget is a constant.
+var ErrSearchBudget = cmerr.Sentinel(cmerr.Permanent, "locate: enumeration search budget exhausted")
 
-// nameIdx formats prefix+itoa(i), e.g. "R3".
-func (b *builder) nameIdx(prefix string, i int) string {
-	buf := append(b.lbl[:0], prefix...)
-	buf = strconv.AppendInt(buf, int64(i), 10)
-	b.lbl = buf
-	return string(buf)
-}
+// enumBudget is the enumeration's node budget. A variable only so a
+// test can exhaust it.
+var enumBudget = ilp.DefaultMaxNodes
 
-// nameIdx2 formats prefix+itoa(i)+sep+itoa(j), e.g. "OHR3_1".
-func (b *builder) nameIdx2(prefix string, i int, sep string, j int) string {
-	buf := append(b.lbl[:0], prefix...)
-	buf = strconv.AppendInt(buf, int64(i), 10)
-	buf = append(buf, sep...)
-	buf = strconv.AppendInt(buf, int64(j), 10)
-	b.lbl = buf
-	return string(buf)
-}
-
-// pathLabel formats the per-observation constraint label
-// "p<p>(<src>→<dst>)/<kind>@<k>".
-func (b *builder) pathLabel(p, src, dst int, kind string, k int) string {
-	buf := append(b.lbl[:0], 'p')
-	buf = strconv.AppendInt(buf, int64(p), 10)
-	buf = append(buf, '(')
-	buf = strconv.AppendInt(buf, int64(src), 10)
-	buf = append(buf, "→"...)
-	buf = strconv.AppendInt(buf, int64(dst), 10)
-	buf = append(buf, ")/"...)
-	buf = append(buf, kind...)
-	buf = append(buf, '@')
-	buf = strconv.AppendInt(buf, int64(k), 10)
-	b.lbl = buf
-	return string(buf)
-}
-
-// newBuilder declares every R/C position variable before any
-// per-observation variable (anchors, direction nullifiers, one-hots,
-// separation binaries), so the positions form the prefix of the solver's
-// lexicographic tie-break: among equal-objective optima, Map.Pos is the
-// lexicographically smallest placement whatever order the observation
-// rows were emitted in.
-func newBuilder(in Input) *builder {
-	b := &builder{m: ilp.NewModel(), in: in}
-	b.r = make([]ilp.Var, in.NumCHA)
-	b.c = make([]ilp.Var, in.NumCHA)
-	for i := 0; i < in.NumCHA; i++ {
-		b.r[i] = b.m.NewVar(b.nameIdx("R", i), 0, int64(in.Rows-1))
-		b.c[i] = b.m.NewVar(b.nameIdx("C", i), 0, int64(in.Cols-1))
-	}
-	return b
-}
-
-// addObjective builds the one-hot channeling, the occupancy indicators and
-// the weighted packing objective of Sec. II-C.5/6.
-func (b *builder) addObjective() {
-	in := b.in
-	var obj []ilp.Term
-
-	// The model copies term rows on AddEq/AddLE, so one scratch row per
-	// shape is reused across every tile and index below.
-	addDim := func(dim string, vars []ilp.Var, size int) {
-		// One-hot per tile.
-		oh := make([][]ilp.Var, in.NumCHA)
-		ohName, onehotName, channelName := "OH"+dim, "onehot-"+dim, "channel-"+dim
-		indName, indLoName, indHiName := "I"+dim, "ind-lo-"+dim, "ind-hi-"+dim
-		sum := make([]ilp.Term, size)
-		channel := make([]ilp.Term, 0, size+1)
-		for i := 0; i < in.NumCHA; i++ {
-			oh[i] = make([]ilp.Var, size)
-			channel = append(channel[:0], ilp.T(-1, vars[i]))
-			for r := 0; r < size; r++ {
-				oh[i][r] = b.m.NewBinary(b.nameIdx2(ohName, i, "_", r))
-				sum[r] = ilp.T(1, oh[i][r])
-				if r > 0 {
-					channel = append(channel, ilp.T(int64(r), oh[i][r]))
-				}
-			}
-			b.m.AddEq(b.nameIdx(onehotName, i), sum, 1)
-			b.m.AddEq(b.nameIdx(channelName, i), channel, 0)
-		}
-		// Occupancy indicators and objective weights.
-		row := make([]ilp.Term, 0, in.NumCHA+1)
-		for r := 0; r < size; r++ {
-			ind := b.m.NewBinary(b.nameIdx(indName, r))
-			// ind ≤ Σ occ: ind - Σ occ ≤ 0.
-			row = append(row[:0], ilp.T(1, ind))
-			for i := 0; i < in.NumCHA; i++ {
-				row = append(row, ilp.T(-1, oh[i][r]))
-			}
-			b.m.AddLE(b.nameIdx(indLoName, r), row, 0)
-			// Σ occ ≤ bigM·ind.
-			row = row[:0]
-			for i := 0; i < in.NumCHA; i++ {
-				row = append(row, ilp.T(1, oh[i][r]))
-			}
-			row = append(row, ilp.T(-bigM, ind))
-			b.m.AddLE(b.nameIdx(indHiName, r), row, 0)
-			obj = append(obj, ilp.T(int64(r+1), ind))
-		}
-	}
-	addDim("R", b.r, in.Rows)
-	addDim("C", b.c, in.Cols)
-	b.m.SetObjective(obj)
-}
-
-// addSeparation forces tiles i and j onto different cells via a four-way
-// big-M disjunction.
-func (b *builder) addSeparation(i, j int) {
-	name := fmt.Sprintf("sep%d-%d", i, j)
-	dirs := make([]ilp.Term, 4)
-	lhs := [][]ilp.Term{
-		{ilp.T(1, b.r[j]), ilp.T(-1, b.r[i])}, // R_i < R_j
-		{ilp.T(1, b.r[i]), ilp.T(-1, b.r[j])}, // R_i > R_j
-		{ilp.T(1, b.c[j]), ilp.T(-1, b.c[i])}, // C_i < C_j
-		{ilp.T(1, b.c[i]), ilp.T(-1, b.c[j])}, // C_i > C_j
-	}
-	for d := range lhs {
-		a := b.m.NewBinary(fmt.Sprintf("%s/d%d", name, d))
-		dirs[d] = ilp.T(1, a)
-		// active when a=1: lhs ≥ 1  ⇔  -lhs + bigM·(1-a) ≥ ... encode
-		// as lhs + bigM·a ≥ 1 + ... simplest: lhs ≥ 1 - bigM·(1-a):
-		// lhs + bigM·(1-a) ≥ 1 → lhs - bigM·a ≥ 1 - bigM.
-		terms := append(append([]ilp.Term{}, lhs[d]...), ilp.T(-bigM, a))
-		b.m.AddGE(name, terms, 1-bigM)
-	}
-	b.m.AddGE(name+"/any", dirs, 1)
-}
-
-// branchOrder returns the R/C variables interleaved per tile, which lets
-// equality propagation fix most of the model after a few decisions.
-func (b *builder) branchOrder() []ilp.Var {
-	out := make([]ilp.Var, 0, 2*b.in.NumCHA)
-	for i := 0; i < b.in.NumCHA; i++ {
-		out = append(out, b.c[i], b.r[i])
-	}
-	return out
-}
-
-// Reconstruct solves the placement problem. With Input.Survivors set, it
-// picks the answer from the survivor set and never solves. Otherwise,
-// with Options.Cache set, the solve is memoized under the input's
-// canonical fingerprint. Cancelling ctx stops the ILP search at the next
-// node boundary; when an incumbent placement existed, it is returned as
-// a best-effort Map alongside an ErrInterrupted error.
+// Reconstruct finds the placement problem's map. With Input.Survivors
+// set, it picks the answer from the survivor set. Otherwise it
+// enumerates the feasible set once and picks from that; with
+// Options.Cache set, the result is memoized under the input's canonical
+// fingerprint. Cancelling ctx stops the enumeration at the next node
+// boundary and returns ErrInterrupted without a map.
 func Reconstruct(ctx context.Context, in Input, opts Options) (*Map, error) {
 	if in.NumCHA <= 0 || in.Rows <= 0 || in.Cols <= 0 {
 		return nil, cmerr.New(cmerr.Permanent, "locate", "invalid input %d CHAs on %dx%d", in.NumCHA, in.Rows, in.Cols)
@@ -297,143 +137,73 @@ func Reconstruct(ctx context.Context, in Input, opts Options) (*Map, error) {
 	if err := checkIndices(in); err != nil {
 		return nil, err
 	}
-	if len(in.Survivors) > 0 {
-		return pick(ctx, in)
-	}
-	if opts.Cache != nil {
+	if len(in.Survivors) == 0 && opts.Cache != nil {
 		return opts.Cache.reconstruct(ctx, in, opts)
 	}
 	return reconstruct(ctx, in, opts)
 }
 
-// rawConstraintCount is the number of observation constraints the raw
-// emitter (one row per clause, the disjunction as big-M rows) would
-// produce: the linear clauses, then per horizontal path a direction
-// one-hot, two source bounds per observer and two sink bounds per
-// intermediate. Reported next to the built model's actual count so
-// telemetry shows what dominance pruning saved.
-func rawConstraintCount(in Input) int64 {
-	var n int64
-	for _, o := range in.Observations {
-		n += int64(3 * (len(o.Up) + len(o.Down)))
-		if len(o.Horz) == 0 {
-			continue
-		}
-		n++ // NE/NW one-hot
-		for _, k := range o.Horz {
-			n += 2 // east/west source bounds
-			if k != o.DstCHA {
-				n += 3 // sink-row alignment + east/west sink bounds
-			}
-		}
-	}
-	return n
-}
-
-// reconstruct is the uncached solve path; in has been validated.
+// reconstruct is the uncached reconstruction; in has been validated. It
+// picks from the survivors when there are any and from a fresh
+// enumeration otherwise, under one locate/reconstruct span whose source
+// attribute names the path.
 func reconstruct(ctx context.Context, in Input, opts Options) (result *Map, err error) {
+	source := "enumerate"
+	if len(in.Survivors) > 0 {
+		source = "survivors"
+	}
 	ctx, span := obs.Start(ctx, "locate/reconstruct")
-	span.SetAttrStr("source", "solve")
+	span.SetAttrStr("source", source)
 	reg := obs.RegistryFrom(ctx)
 	clock := obs.From(ctx).Clock()
-	reconStart := clock.Now()
+	start := clock.Now()
 	defer func() {
 		if result != nil {
-			span.SetAttr("rounds", int64(result.SeparationRounds)).
-				SetAttr("nodes", int64(result.Nodes))
+			span.SetAttr("nodes", int64(result.Nodes)).
+				SetAttr("candidates", int64(result.Candidates))
 		}
-		reg.Histogram("locate/reconstruct_us").
-			Observe(clock.Now().Sub(reconStart).Microseconds())
+		reg.Histogram("locate/reconstruct_us").Observe(clock.Now().Sub(start).Microseconds())
 		span.End(err)
 	}()
 	reg.Counter("locate/reconstructs").Inc()
 
-	b := newBuilder(in)
-	b.addPruned(opts.PaperExactBounds)
-	reg.Counter("locate/constraints/raw").Add(rawConstraintCount(in))
-	reg.Counter("locate/constraints/built").Add(int64(b.m.NumConstraints()))
-	b.addObjective()
-	return b.solve(ctx, opts)
+	if len(in.Survivors) > 0 {
+		if err := checkSurvivors(in); err != nil {
+			return nil, err
+		}
+		reg.Counter("locate/picks").Inc()
+		return pick(in, in.Survivors), nil
+	}
+	return enumerate(ctx, in, opts)
 }
 
-// solve runs the ILP over the built model, then adds pairwise separation
-// disjunctions for the tiles the solution collapses onto one cell and
-// re-solves, for at most Options.MaxSeparationRounds rounds.
-func (b *builder) solve(ctx context.Context, opts Options) (*Map, error) {
-	in := b.in
-	anchored := isAnchored(in.Observations)
-	maxRounds := opts.MaxSeparationRounds
-	if maxRounds == 0 {
-		maxRounds = 8
+// enumerate enumerates the feasible set of route.Space over every
+// observation, uncapped, and picks from it.
+func enumerate(ctx context.Context, in Input, opts Options) (*Map, error) {
+	space := route.NewSpace(in.NumCHA, in.Rows, in.Cols, in.IMCPositions, route.SrcGap(opts.PaperExactBounds))
+	for _, o := range in.Observations {
+		space.Add(o)
 	}
-
-	result := &Map{Rows: in.Rows, Cols: in.Cols, Anchored: anchored}
-	for round := 0; ; round++ {
-		sol, err := ilp.Solve(ctx, b.m, ilp.Options{
-			MaxNodes:    opts.MaxNodes,
-			BranchOrder: b.branchOrder(),
-		})
-		if errors.Is(err, ilp.ErrInfeasible) {
-			return nil, ErrUnsatisfiable
-		}
-		interrupted := errors.Is(err, ilp.ErrInterrupted)
-		if err != nil && !(interrupted && sol != nil) {
-			if interrupted {
-				return nil, fmt.Errorf("%w: %w", ErrInterrupted, err)
-			}
-			return nil, cmerr.Wrap(cmerr.Permanent, "locate", err)
-		}
-		result.Nodes += sol.Nodes
-		result.Optimal = sol.Optimal && !interrupted
-		result.SeparationRounds = round
-
-		pos := make([]mesh.Coord, in.NumCHA)
-		for i := 0; i < in.NumCHA; i++ {
-			pos[i] = mesh.Coord{Row: int(sol.Value(b.r[i])), Col: int(sol.Value(b.c[i]))}
-		}
-		overlaps := findOverlaps(pos)
-		if interrupted {
-			// The incumbent is a complete feasible assignment of the
-			// current model; separation refinement stops here. Hand it
-			// back with the interruption so callers can keep it.
-			result.Pos = pos
-			return result, fmt.Errorf("%w after %d nodes: %w", ErrInterrupted, result.Nodes, err)
-		}
-		if len(overlaps) == 0 || round >= maxRounds {
-			result.Pos = pos
-			if len(overlaps) > 0 {
-				return result, cmerr.New(cmerr.Permanent, "locate",
-					"%d overlapping tile pairs remain after %d separation rounds", len(overlaps), round)
-			}
-			return result, nil
-		}
-		for _, ov := range overlaps {
-			b.addSeparation(ov[0], ov[1])
-		}
+	obs.RegistryFrom(ctx).Counter("locate/constraints/built").Add(int64(space.Model().NumConstraints()))
+	eo := space.EnumOptions(0)
+	eo.MaxNodes = enumBudget
+	res, err := ilp.Enumerate(ctx, space.Model(), eo)
+	switch {
+	case err != nil && cmerr.IsInterrupted(err):
+		return nil, fmt.Errorf("%w: %w", ErrInterrupted, err)
+	case err != nil:
+		return nil, cmerr.Wrap(cmerr.Permanent, "locate", err)
+	case !res.Complete:
+		return nil, fmt.Errorf("%w: %d nodes searched, %d placements found so far",
+			ErrSearchBudget, res.Nodes, len(res.Solutions))
+	case len(res.Solutions) == 0:
+		return nil, ErrUnsatisfiable
 	}
-}
-
-func findOverlaps(pos []mesh.Coord) [][2]int {
-	byCell := make(map[mesh.Coord][]int)
-	for i, p := range pos {
-		byCell[p] = append(byCell[p], i)
+	survivors := make([][]mesh.Coord, len(res.Solutions))
+	for i, proj := range res.Solutions {
+		survivors[i] = space.Placement(proj)
 	}
-	var out [][2]int
-	for _, group := range byCell {
-		for a := 0; a < len(group); a++ {
-			for b := a + 1; b < len(group); b++ {
-				out = append(out, [2]int{group[a], group[b]})
-			}
-		}
-	}
-	// The map range above visits cells in random order; sorting makes the
-	// separation constraints (and thus the solver's branching order)
-	// identical across runs.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
+	mp := pick(in, survivors)
+	mp.Nodes = res.Nodes
+	return mp, nil
 }

@@ -273,31 +273,6 @@ func TestScoreAbsolute(t *testing.T) {
 	}
 }
 
-// TestLazySeparationResolvesOverlaps: an under-constrained tile would
-// collapse onto another under the packing objective; the lazy no-overlap
-// rounds must pull them apart.
-func TestLazySeparationResolvesOverlaps(t *testing.T) {
-	// Tiles 0,1 vertically adjacent; tile 2 completely unobserved.
-	obs := []route.Observation{
-		{SrcCHA: 0, DstCHA: 1, Down: []int{1}},
-		{SrcCHA: 1, DstCHA: 0, Up: []int{0}},
-	}
-	mp, err := Reconstruct(context.Background(), Input{NumCHA: 3, Rows: 3, Cols: 3, Observations: obs}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[mesh.Coord]bool{}
-	for _, c := range mp.Pos {
-		if seen[c] {
-			t.Fatalf("tiles overlap at %v: %v", c, mp.Pos)
-		}
-		seen[c] = true
-	}
-	if mp.SeparationRounds == 0 {
-		t.Error("expected at least one lazy separation round for the unconstrained tile")
-	}
-}
-
 // TestAnchoredSyntheticReconstruction: anchored observations with a known
 // source position must pin absolute coordinates on a synthetic grid.
 func TestAnchoredSyntheticReconstruction(t *testing.T) {

@@ -1,61 +1,46 @@
 package locate
 
 import (
-	"context"
 	"encoding/binary"
 	"slices"
 
 	"coremap/internal/cmerr"
 	"coremap/internal/mesh"
-	"coremap/internal/obs"
 	"coremap/internal/route"
 )
 
-// Picking the map from a survivor set. The set is the feasible set of
-// the reconstruction (internal/plan's correctness contract), and the
-// solver returns its objective-minimal member, ties to the
-// lexicographically smallest Pos because newBuilder declares R₀ C₀ R₁ C₁
-// … before any other variable. pick finds that member in one scan.
+// Picking the map from a feasible set: the placement with the smallest
+// packing objective, ties broken by the lexicographic order of Pos. The
+// set is complete — the planner's survivors (internal/plan's correctness
+// contract) or a fresh enumeration — so the pick is the proven optimum.
 
-// pick returns the survivor the solver would return, with Optimal set:
-// the scan covers the complete feasible set, which proves optimality.
-func pick(ctx context.Context, in Input) (result *Map, err error) {
-	_, span := obs.Start(ctx, "locate/reconstruct")
-	span.SetAttrStr("source", "survivors")
-	defer func() { span.End(err) }()
-	if err = checkSurvivors(in); err != nil {
-		return nil, err
-	}
-	reg := obs.RegistryFrom(ctx)
-	reg.Counter("locate/reconstructs").Inc()
-	reg.Counter("locate/picks").Inc()
-
+// pick returns the objective-minimal member of the complete feasible set
+// survivors, with Optimal and Candidates set. The returned Pos is a copy;
+// survivors is only read.
+func pick(in Input, survivors [][]mesh.Coord) *Map {
 	occupied := make([]bool, in.Rows+in.Cols)
-	best, bestObj := 0, objective(in.Survivors[0], in.Rows, occupied)
-	for i := 1; i < len(in.Survivors); i++ {
-		p := in.Survivors[i]
+	best, bestObj := 0, objective(survivors[0], in.Rows, occupied)
+	for i := 1; i < len(survivors); i++ {
+		p := survivors[i]
 		if obj := objective(p, in.Rows, occupied); obj < bestObj ||
-			obj == bestObj && lexLess(p, in.Survivors[best]) {
+			obj == bestObj && lexLess(p, survivors[best]) {
 			best, bestObj = i, obj
 		}
 	}
 	anchored := isAnchored(in.Observations)
-	result = &Map{
-		Pos:        slices.Clone(in.Survivors[best]),
+	return &Map{
+		Pos:        slices.Clone(survivors[best]),
 		Rows:       in.Rows,
 		Cols:       in.Cols,
 		Anchored:   anchored,
 		Optimal:    true,
-		Candidates: countCandidates(in.Survivors, anchored),
+		Candidates: countCandidates(survivors, anchored),
 	}
-	span.SetAttr("survivors", int64(len(in.Survivors))).
-		SetAttr("candidates", int64(result.Candidates))
-	return result, nil
 }
 
-// objective is the packing objective of Sec. II-C.6 that addObjective
-// encodes: Σ(r+1) over the rows a CHA occupies plus Σ(c+1) over the
-// occupied columns. occupied is rows+cols scratch, cleared here.
+// objective is the packing objective of Sec. II-C.6: Σ(r+1) over the
+// rows a CHA occupies plus Σ(c+1) over the occupied columns. occupied is
+// rows+cols scratch, cleared here.
 func objective(pos []mesh.Coord, rows int, occupied []bool) int {
 	clear(occupied)
 	obj := 0

@@ -14,8 +14,8 @@ import (
 
 // TestPickTiedSurvivors: hand-built survivors where the two optima tie
 // on the objective and are each other's mirror image. The pick must take
-// the lexicographically smaller one, as the solver does, without
-// touching the shared survivor slice.
+// the lexicographically smaller one, without touching the shared
+// survivor slice, and the enumeration path must pick the same map.
 func TestPickTiedSurvivors(t *testing.T) {
 	// Two CHAs on a 2x2 grid and no observations: every distinct
 	// placement is feasible. Side by side in row 0 costs 1 + (1+2) = 4
@@ -52,12 +52,12 @@ func TestPickTiedSurvivors(t *testing.T) {
 	}
 
 	in.Survivors = nil
-	solved, err := Reconstruct(context.Background(), in, Options{})
+	enumerated, err := Reconstruct(context.Background(), in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(solved.Pos, a) {
-		t.Errorf("solver returned %v, the pick's tie-break assumes %v", solved.Pos, a)
+	if !reflect.DeepEqual(enumerated.Pos, a) {
+		t.Errorf("enumeration picked %v, want %v", enumerated.Pos, a)
 	}
 }
 
@@ -101,10 +101,11 @@ func TestPickRejectsMalformedSurvivors(t *testing.T) {
 }
 
 // TestPickMatchesSolveBruteForce: on small random grids with a random
-// subset of the synthetic observations, the survivor set is built by
+// subset of the synthetic observations, the feasible set is built by
 // brute force — every distinct placement that Validate accepts, which on
-// distinct placements is exactly the strict constraint system — and the
-// pick must equal the solver's map.
+// distinct placements is exactly the strict constraint system — and
+// Reconstruct without survivors must return exactly the pick over it,
+// with the same candidate count, having searched for it.
 func TestPickMatchesSolveBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	const rows, cols = 3, 3
@@ -129,34 +130,44 @@ func TestPickMatchesSolveBruteForce(t *testing.T) {
 			}
 		}
 		in := Input{NumCHA: len(tiles), Rows: rows, Cols: cols, Observations: observations}
-		solved, err := Reconstruct(context.Background(), in, Options{})
+		enumerated, err := Reconstruct(context.Background(), in, Options{})
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		in.Survivors = feasiblePlacements(in)
+		in.Survivors = feasiblePlacements(in, 1)
 		picked, err := Reconstruct(context.Background(), in, Options{})
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		if !reflect.DeepEqual(picked.Pos, solved.Pos) || picked.Optimal != solved.Optimal {
-			t.Errorf("iter %d (%d tiles, %d observations, %d survivors): picked %v optimal=%v, solved %v optimal=%v",
-				iter, len(tiles), len(observations), len(in.Survivors), picked.Pos, picked.Optimal, solved.Pos, solved.Optimal)
+		if !reflect.DeepEqual(picked.Pos, enumerated.Pos) || !picked.Optimal || !enumerated.Optimal ||
+			picked.Candidates != enumerated.Candidates || picked.Anchored != enumerated.Anchored {
+			t.Errorf("iter %d (%d tiles, %d observations, %d survivors): picked %v optimal=%v candidates=%d, enumerated %v optimal=%v candidates=%d",
+				iter, len(tiles), len(observations), len(in.Survivors), picked.Pos, picked.Optimal, picked.Candidates,
+				enumerated.Pos, enumerated.Optimal, enumerated.Candidates)
+		}
+		if picked.Nodes != 0 || enumerated.Nodes == 0 {
+			t.Errorf("iter %d: %d nodes picking, %d enumerating; want 0 and > 0", iter, picked.Nodes, enumerated.Nodes)
 		}
 	}
 }
 
-// feasiblePlacements enumerates every placement of in.NumCHA CHAs on
-// distinct cells of the grid that satisfies in's observations.
-func feasiblePlacements(in Input) [][]mesh.Coord {
+// feasiblePlacements enumerates, by brute force, every placement of
+// in.NumCHA CHAs on distinct cells of the grid that satisfies route.Check
+// for every observation with the given srcGap (1 is Validate's strict
+// form).
+func feasiblePlacements(in Input, srcGap int) [][]mesh.Coord {
 	var out [][]mesh.Coord
 	pos := make([]mesh.Coord, in.NumCHA)
 	used := make([]bool, in.Rows*in.Cols)
 	var place func(k int)
 	place = func(k int) {
 		if k == in.NumCHA {
-			if Validate(in, pos) == nil {
-				out = append(out, slices.Clone(pos))
+			for i := range in.Observations {
+				if route.Check(&in.Observations[i], pos, in.IMCPositions, srcGap).Kind != route.None {
+					return
+				}
 			}
+			out = append(out, slices.Clone(pos))
 			return
 		}
 		for cell := range used {
@@ -197,10 +208,10 @@ func TestReconstructSpanNamesSource(t *testing.T) {
 		}
 		return got, tel.Registry().Snapshot().Counters["locate/picks"]
 	}
-	if src, picks := source(in); src != "solve" || picks != 0 {
-		t.Errorf("without survivors: source %q, %d picks; want solve, 0", src, picks)
+	if src, picks := source(in); src != "enumerate" || picks != 0 {
+		t.Errorf("without survivors: source %q, %d picks; want enumerate, 0", src, picks)
 	}
-	in.Survivors = feasiblePlacements(in)
+	in.Survivors = feasiblePlacements(in, 1)
 	if src, picks := source(in); src != "survivors" || picks != 1 {
 		t.Errorf("with survivors: source %q, %d picks; want survivors, 1", src, picks)
 	}

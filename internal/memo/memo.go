@@ -7,7 +7,7 @@
 // and the measurement cache in internal/probe. Both layers exist because
 // survey workloads are dominated by redundant work: the paper's Table II
 // shows each Xeon SKU exhibits only a handful of distinct core-location
-// patterns across 100 instances, so most per-instance solves recompute a
+// patterns across 100 instances, so most per-instance reconstructions recompute a
 // result some other instance already produced.
 package memo
 

@@ -363,20 +363,32 @@ func TestValidateMetricsRejects(t *testing.T) {
 	}
 }
 
+// TestReportILPOpsAreEnumNodes: the ilp row counts enumeration nodes,
+// the only search the ilp package runs.
+func TestReportILPOpsAreEnumNodes(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("ilp/enum_nodes").Add(42)
+	r.Counter("ilp/enumerations").Add(3)
+	rows := BuildReport(r.Snapshot(), nil)
+	if len(rows) != 1 || rows[0].Stage != "ilp" || rows[0].Ops != 42 {
+		t.Fatalf("rows = %+v, want one ilp row with 42 ops", rows)
+	}
+}
+
 func TestBuildReport(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("probe/experiments/planned").Add(100)
 	r.Counter("probe/retries").Add(4)
 	r.Gauge("probe/coverage_permille").Set(995)
 	r.Gauge("probe/cache/hits").Set(17)
-	r.Counter("ilp/nodes").Add(2048)
+	r.Counter("ilp/enum_nodes").Add(2048)
 	r.Counter("host/ops/rdmsr").Add(600)
 	r.Counter("host/ops/load").Add(50)
 	spans := []SpanRecord{
 		{ID: 1, Name: "coremap/map-machine", DurUS: 1000},
 		{ID: 2, Parent: 1, Name: "probe/run", DurUS: 700},
 		{ID: 3, Parent: 2, Name: "probe/map-cores", DurUS: 300}, // nested same-stage: no extra duration
-		{ID: 4, Parent: 1, Name: "ilp/solve", DurUS: 200},
+		{ID: 4, Parent: 1, Name: "ilp/enumerate", DurUS: 200},
 		{ID: 5, Parent: 4, Name: "ilp/worker", DurUS: 150},
 	}
 	rows := BuildReport(r.Snapshot(), spans)

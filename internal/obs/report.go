@@ -43,13 +43,13 @@ func stageOf(name string) string {
 }
 
 // opsOf picks the operation count that best characterizes a stage's
-// workload: planned experiments for probe, explored nodes for the ILP,
+// workload: planned experiments for probe, enumeration nodes for the ILP,
 // and so on. The default is the sum of the stage's "<stage>/ops/*"
 // counters (how hostif counts per-op), falling back to zero.
 func opsOf(stage string, snap Snapshot) int64 {
 	alias := map[string]string{
 		"probe":       "probe/experiments/planned",
-		"ilp":         "ilp/nodes",
+		"ilp":         "ilp/enum_nodes",
 		"locate":      "locate/reconstructs",
 		"covert":      "covert/samples",
 		"experiments": "experiments/surveys",

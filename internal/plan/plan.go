@@ -13,10 +13,10 @@
 // construction and experiment execution and drives the planner through
 // NextBatch / Observe / Fail; this package owns the placement bookkeeping:
 //
-//   - a lean binary-free ILP over the row/column position variables whose
-//     bounded enumeration (one resumable ilp.Enumerator per survey)
-//     materializes the surviving placement set once ambiguity drops
-//     under Options.AmbiguityCap;
+//   - the placement space (route.Space: a binary-free ILP over the
+//     row/column position variables) whose bounded enumeration (one
+//     resumable ilp.Enumerator per survey) materializes the surviving
+//     placement set once ambiguity drops under Options.AmbiguityCap;
 //   - exact observation prediction (route.Classify, the Y-then-X
 //     dimension-order model), used to partition survivors by predicted
 //     outcome;
@@ -27,25 +27,22 @@
 //
 // Survivors are filtered by *constraint* consistency, never by predicted
 // equality. The materialized set is the complete enumeration of the
-// model rows plus the Accept hook, and Observe filters it with
+// route.Space's rows plus its Accept hook, and Observe filters it with
 // consistent; both are route's clauses, the ones locate's reconstruction
-// encodes (the all-distinct condition standing in for locate's lazy
-// separation). So at every point the survivors are exactly the
-// placements with all-distinct tiles that satisfy the reconstruction's
-// constraints over the observations in hand — its feasible set, no more
-// and no less.
+// enumerates over the same route.Space. So at every point the survivors
+// are exactly the placements with all-distinct tiles that satisfy the
+// reconstruction's constraints over the observations in hand — its
+// feasible set, no more and no less.
 //
 // Two consequences. First, the convergence test — every unmeasured
 // candidate's predicted observation is identical across all survivors —
 // guarantees that measuring the rest would add constraints every
 // survivor already satisfies, so the feasible set, and with it the map,
 // is the exhaustive survey's. Second, the map can be read off the set:
-// locate's solver returns the objective-minimal placement, ties broken
-// by the lexicographic order of positions, and its lazy-separation
-// optimum is distinct and optimal over a superset of the distinct
-// placements, hence also the objective-then-lex minimum of the distinct
-// set. locate.Reconstruct therefore picks that minimum from Survivors
-// instead of solving, with the same result.
+// locate.Reconstruct picks the objective-minimal placement, ties broken
+// by the lexicographic order of positions, from a complete feasible set
+// — from Survivors when it has them, instead of enumerating the set
+// afresh, with the same result.
 //
 // Degradation is monotone toward the exhaustive survey: candidates whose
 // experiments fail permanently are dropped (no observation, no filter),
@@ -142,8 +139,8 @@ type Options struct {
 	// to the next round; it never aborts the survey.
 	MaxNodes int
 	// PaperExactBounds must match the locate.Options.PaperExactBounds
-	// the reconstruction will use, so the planner's consistency check
-	// mirrors the solver's constraint encoding exactly.
+	// the reconstruction will use, so the planner's survivors are the
+	// reconstruction's feasible set exactly.
 	PaperExactBounds bool
 }
 
@@ -228,32 +225,19 @@ type Planner struct {
 	// next observations will cut, while later ones get room to finish.
 	nodeBudget int
 
-	// model is the survey's one enumeration model, over the position
-	// variables rowVar/colVar, projected in project order (decode with
-	// coordAt) and branched in branch order; it holds the rows of
-	// observations[:modelObs]. enum is the one search over it, created
-	// at the first materialization and resumed by every later one.
-	model           distinctRows
-	modelObs        int
-	rowVar, colVar  []ilp.Var
-	project, branch []ilp.Var
-	enum            *ilp.Enumerator
-	// horzObs holds the observations of observations[:modelObs] with
-	// horizontal observers, whose disjunctions the Accept/Prune hooks
-	// evaluate.
-	horzObs []route.Observation
+	// space is the survey's one placement space (route.Space), holding
+	// the rows of observations[:modelObs]; enum is the one search over
+	// it, created at the first materialization and resumed by every
+	// later one.
+	space    *route.Space
+	modelObs int
+	enum     *ilp.Enumerator
 
 	// scratch reused across rounds.
-	projCoords []mesh.Coord
-	coordFixed []bool
-	cellMark   []int64
-	cellEpoch  int64
-	keyBuf     []byte
-	lins       []route.Lin
-	rowBuf     [2]ilp.Term
-	counts     map[string]int
-	remaining  []int
-	scored     []scoredCand
+	keyBuf    []byte
+	counts    map[string]int
+	remaining []int
+	scored    []scoredCand
 }
 
 type scoredCand struct {
@@ -290,14 +274,11 @@ func New(opts Options, numCHA int, cands []Candidate) (*Planner, error) {
 		}
 	}
 	return &Planner{
-		opts:       opts,
-		numCHA:     numCHA,
-		cands:      append([]Candidate(nil), cands...),
-		state:      make([]candState, len(cands)),
-		projCoords: make([]mesh.Coord, numCHA),
-		coordFixed: make([]bool, numCHA),
-		cellMark:   make([]int64, opts.Rows*opts.Cols),
-		counts:     make(map[string]int),
+		opts:   opts,
+		numCHA: numCHA,
+		cands:  append([]Candidate(nil), cands...),
+		state:  make([]candState, len(cands)),
+		counts: make(map[string]int),
 	}, nil
 }
 
@@ -445,13 +426,7 @@ func (pl *Planner) materialize(ctx context.Context) (err error) {
 	span.SetAttr("observations", int64(len(pl.observations))).SetAttr("budget", int64(pl.nodeBudget))
 	pl.extendModel()
 	if pl.enum == nil {
-		pl.enum, err = ilp.NewEnumerator(pl.model.m, ilp.EnumOptions{
-			Project:     pl.project,
-			BranchOrder: pl.branch,
-			Cap:         pl.opts.AmbiguityCap,
-			Accept:      pl.accept,
-			Prune:       pl.prune,
-		})
+		pl.enum, err = ilp.NewEnumerator(pl.space.Model(), pl.space.EnumOptions(pl.opts.AmbiguityCap))
 		if err != nil {
 			return err
 		}
@@ -477,13 +452,23 @@ func (pl *Planner) materialize(ctx context.Context) (err error) {
 	}
 	pl.survivors = make([][]mesh.Coord, len(res.Solutions))
 	for i, proj := range res.Solutions {
-		p := make([]mesh.Coord, pl.numCHA)
-		for k := 0; k < pl.numCHA; k++ {
-			p[k] = coordAt(proj, k)
-		}
-		pl.survivors[i] = p
+		pl.survivors[i] = pl.space.Placement(proj)
 	}
 	return nil
+}
+
+// extendModel brings the planner's space up to date with the
+// observations collected since its last call. The space is created at
+// the first call, so a survey that never materializes never builds it.
+func (pl *Planner) extendModel() {
+	if pl.space == nil {
+		pl.space = route.NewSpace(pl.numCHA, pl.opts.Rows, pl.opts.Cols,
+			pl.opts.IMCPositions, route.SrcGap(pl.opts.PaperExactBounds))
+	}
+	for _, o := range pl.observations[pl.modelObs:] {
+		pl.space.Add(o)
+	}
+	pl.modelObs = len(pl.observations)
 }
 
 func b2i(b bool) int64 {

@@ -7,12 +7,12 @@ package plan
 //
 // consistent is deliberately NOT prediction equality: it is route.Check,
 // the observation's clauses evaluated on a placement — the same clauses
-// the model rows (model.go) and locate's reconstruction encode. Filtering
-// survivors by exactly this test keeps the surviving set equal to the
-// reconstruction's feasible set: a stricter filter (prediction equality)
-// could drop the solver's optimum, a looser one could admit a placement
-// the solver rejects, and either would make the survivor pick of
-// locate.Reconstruct disagree with its solve (package comment).
+// route.Space renders as rows and hooks. Filtering survivors by exactly
+// this test keeps the surviving set equal to the reconstruction's
+// feasible set: a stricter filter (prediction equality) could drop the
+// optimum, a looser one could admit a placement the reconstruction
+// rejects, and either would make the survivor pick of locate.Reconstruct
+// disagree with a fresh enumeration (package comment).
 
 import (
 	"coremap/internal/mesh"
@@ -48,20 +48,9 @@ func (pl *Planner) predictKey(c Candidate, p []mesh.Coord) []byte {
 	return key
 }
 
-// srcGap returns the minimum column distance between a horizontal
-// observer and the flow's source column (route.Observation.SrcBounds):
-// 1 in the strict form, 0 when PaperExactBounds relaxes it to the
-// paper's literal inequalities.
-func (pl *Planner) srcGap() int {
-	if pl.opts.PaperExactBounds {
-		return 0
-	}
-	return 1
-}
-
 // consistent reports whether placement p satisfies every clause of
 // observation o. See the file comment: this is constraint consistency,
 // not prediction equality.
 func (pl *Planner) consistent(o route.Observation, p []mesh.Coord) bool {
-	return route.Check(&o, p, pl.opts.IMCPositions, pl.srcGap()).Kind == route.None
+	return route.Check(&o, p, pl.opts.IMCPositions, route.SrcGap(pl.opts.PaperExactBounds)).Kind == route.None
 }

@@ -13,6 +13,7 @@ import (
 	"coremap/internal/ilp"
 	"coremap/internal/machine"
 	"coremap/internal/mesh"
+	"coremap/internal/route"
 )
 
 // surveyInstance builds the planner input MapMachine's default survey
@@ -106,20 +107,11 @@ func TestPlannerScheduleUnchanged(t *testing.T) {
 	}
 }
 
-// rowLog is a rowSink that records every row it is handed, duplicates
-// included, as a canonical string.
-type rowLog []string
-
-func (l *rowLog) AddRange(_ string, terms []ilp.Term, lo, hi int64) {
-	ts := append([]ilp.Term(nil), terms...)
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Var < ts[j].Var })
-	*l = append(*l, fmt.Sprint(ts, lo, hi))
-}
-
 // TestPlannerModelDedupesRows feeds a planner the observations of a
-// seeded 6354 survey in two steps and checks that its model holds each
+// seeded 6354 survey in two steps and checks that its space holds each
 // distinct row exactly once, and that enumerating it gives the same
-// placements, in the same order, as a model built with every duplicate.
+// placements, in the same order and the same search tree, as a model
+// built with every duplicate.
 func TestPlannerModelDedupesRows(t *testing.T) {
 	opts, numCHA, cands, truth := surveyInstance(machine.SKU6354, 1, 2)
 	pl, err := New(opts, numCHA, cands)
@@ -132,35 +124,51 @@ func TestPlannerModelDedupesRows(t *testing.T) {
 		}
 		pl.extendModel()
 
-		raw, _, _ := pl.newModel()
-		var log rowLog
-		for _, o := range pl.observations {
-			pl.addObservationRows(raw, o)
-			pl.addObservationRows(&log, o)
+		// The reference model declares the space's variables in the same
+		// order (r0, c0, r1, c1, …: the projection) and renders every
+		// clause of every observation, duplicates included.
+		eo := pl.space.EnumOptions(DefaultAmbiguityCap)
+		raw := ilp.NewModel()
+		r, c := make([]ilp.Var, numCHA), make([]ilp.Var, numCHA)
+		for k := range r {
+			r[k] = raw.NewVar("r", 0, int64(opts.Rows-1))
+			c[k] = raw.NewVar("c", 0, int64(opts.Cols-1))
+		}
+		for i, v := range eo.Project {
+			if v != ilp.Var(i) || pl.space.Model().NumVars() != raw.NumVars() {
+				t.Fatalf("space projection %v over %d variables; the reference assumes r0, c0, r1, c1, … over %d",
+					eo.Project, pl.space.Model().NumVars(), raw.NumVars())
+			}
 		}
 		distinct := map[string]bool{}
-		for _, k := range log {
-			distinct[k] = true
+		var lins []route.Lin
+		var buf [2]ilp.Term
+		for _, o := range pl.observations {
+			lins = o.Linear(lins[:0], opts.IMCPositions)
+			for i := range lins {
+				terms, lo, hi := lins[i].Row(r, c, &buf)
+				raw.AddRange(lins[i].Kind.String(), terms, lo, hi)
+				ts := append([]ilp.Term(nil), terms...)
+				sort.Slice(ts, func(i, j int) bool { return ts[i].Var < ts[j].Var })
+				distinct[fmt.Sprint(ts, lo, hi)] = true
+			}
 		}
-		if got := pl.model.m.NumConstraints(); got != len(distinct) {
-			t.Fatalf("%d observations: model has %d rows, want the %d distinct of %d",
-				n, got, len(distinct), len(log))
+		if got := pl.space.Model().NumConstraints(); got != len(distinct) {
+			t.Fatalf("%d observations: space has %d rows, want the %d distinct of %d",
+				n, got, len(distinct), raw.NumConstraints())
 		}
-		if len(distinct) >= len(log) {
-			t.Fatalf("%d observations: no duplicate rows to drop (%d rows)", n, len(log))
+		if len(distinct) >= raw.NumConstraints() {
+			t.Fatalf("%d observations: no duplicate rows to drop (%d rows)", n, raw.NumConstraints())
 		}
 
 		enum := func(m *ilp.Model) *ilp.EnumResult {
-			res, err := ilp.Enumerate(context.Background(), m, ilp.EnumOptions{
-				Project: pl.project, BranchOrder: pl.branch, Cap: DefaultAmbiguityCap,
-				Accept: pl.accept, Prune: pl.prune,
-			})
+			res, err := ilp.Enumerate(context.Background(), m, eo)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		deduped, full := enum(pl.model.m), enum(raw)
+		deduped, full := enum(pl.space.Model()), enum(raw)
 		if deduped.Complete != full.Complete || !reflect.DeepEqual(deduped.Solutions, full.Solutions) {
 			t.Fatalf("%d observations: deduplicated model enumerates %d placements (complete=%v), full model %d (complete=%v)",
 				n, len(deduped.Solutions), deduped.Complete, len(full.Solutions), full.Complete)
@@ -169,6 +177,6 @@ func TestPlannerModelDedupesRows(t *testing.T) {
 			t.Errorf("%d observations: deduplication changed the search tree: %d nodes vs %d", n, deduped.Nodes, full.Nodes)
 		}
 		t.Logf("%d observations: %d of %d rows distinct, %d placements (complete=%v), %d nodes",
-			n, len(distinct), len(log), len(deduped.Solutions), deduped.Complete, deduped.Nodes)
+			n, len(distinct), raw.NumConstraints(), len(deduped.Solutions), deduped.Complete, deduped.Nodes)
 	}
 }

@@ -1,6 +1,6 @@
 // Package pool provides the repo's memory-reuse primitives: slab arenas
 // for long-lived records, sync.Pool-backed scratch buffers for transient
-// per-sweep state, and single-goroutine free lists for solver node state.
+// per-sweep state, and single-goroutine free lists for search node state.
 //
 // The measurement and reconstruction pipelines allocate in three distinct
 // patterns, and each type here serves exactly one of them:
@@ -17,7 +17,7 @@
 //     sync.Pool, so concurrent pipelines share a warm buffer set.
 //
 //   - FreeList: slices recycled at high frequency by a single goroutine (a
-//     branch-and-bound worker's node bound vectors), where even sync.Pool
+//     enumeration's node bound vectors), where even sync.Pool
 //     overhead is measurable.
 //
 // Reset discipline: a buffer obtained from Scratch or FreeList must be
@@ -69,7 +69,7 @@ func (s *Slab[T]) Alloc(n int) []T {
 	}
 	off := len(s.chunk)
 	s.chunk = s.chunk[:off+n]
-	return s.chunk[off:off:off+n]
+	return s.chunk[off : off : off+n]
 }
 
 // Clone copies vals into a slab window of exactly matching capacity. A nil
@@ -121,7 +121,7 @@ type FreeList[T any] struct {
 }
 
 // Get returns a slice of length n. Contents are NOT zeroed — callers that
-// need zeroed state must write every element (solver bound vectors are
+// need zeroed state must write every element (search bound vectors are
 // always fully copied into).
 func (f *FreeList[T]) Get(n int) []T {
 	if k := len(f.free); k > 0 {

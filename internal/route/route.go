@@ -10,11 +10,12 @@
 //   - Classify is exact prediction: the counter one tile charges for a
 //     flow;
 //   - Linear, SrcBounds and DstBounds decode an observation into the
-//     clauses the placement must satisfy (clause.go), which the
-//     planner's binary-free model and the reconstruction's big-M model
-//     both emit;
+//     clauses the placement must satisfy (clause.go);
 //   - Check evaluates those clauses on a concrete placement and names
-//     the first one violated.
+//     the first one violated;
+//   - Space is the feasible placement set of an observation list as one
+//     enumerable model (space.go), which the planner resumes and the
+//     reconstruction enumerates.
 package route
 
 import "coremap/internal/mesh"

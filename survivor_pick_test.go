@@ -1,8 +1,9 @@
 package coremap_test
 
 // Differential tests of the survivor pick: a planned map's answer is
-// read off the planner's survivor set instead of solving the ILP, and
-// must be exactly the map the solver returns on the same observations.
+// read off the planner's survivor set instead of enumerating the feasible
+// set afresh, and must be exactly the map the enumeration returns on the
+// same observations.
 
 import (
 	"context"
@@ -32,8 +33,9 @@ func (c pickCase) String() string {
 
 // TestSurvivorPickMatchesSolve covers every plan=true key of the golden
 // corpus (strict bounds, memory anchors) plus the paper-bounds and
-// anchor-free variants on 8259CL and 6354: Pos, Anchored and Optimal of
-// the picked map must equal the solved map's.
+// anchor-free variants on 8259CL and 6354: Pos, Anchored, Optimal and
+// Candidates of the picked map must equal the freshly enumerated map's,
+// which searched (Nodes > 0) where the pick did not.
 func TestSurvivorPickMatchesSolve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("planned surveys of the golden corpus are not -short material")
@@ -76,7 +78,7 @@ func TestSurvivorPickMatchesSolve(t *testing.T) {
 				Observations: meas.Observations, IMCPositions: die.IMC,
 			}
 			lo := locate.Options{PaperExactBounds: c.paperBounds}
-			solved, err := locate.Reconstruct(context.Background(), in, lo)
+			enumerated, err := locate.Reconstruct(context.Background(), in, lo)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,15 +87,14 @@ func TestSurvivorPickMatchesSolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if solved.Nodes == 0 || solved.Candidates != 0 {
-				t.Errorf("reconstruction without survivors did not solve: %d nodes, %d candidates", solved.Nodes, solved.Candidates)
+			if enumerated.Nodes == 0 || picked.Nodes != 0 {
+				t.Errorf("%d nodes enumerating, %d picking; want > 0 and 0", enumerated.Nodes, picked.Nodes)
 			}
-			if picked.Nodes != 0 || picked.Candidates == 0 {
-				t.Errorf("reconstruction with survivors did not pick: %d nodes, %d candidates", picked.Nodes, picked.Candidates)
-			}
-			if !reflect.DeepEqual(picked.Pos, solved.Pos) || picked.Anchored != solved.Anchored || picked.Optimal != solved.Optimal {
-				t.Errorf("pick differs from solve over %d survivors\npicked: %v anchored=%v optimal=%v\nsolved: %v anchored=%v optimal=%v",
-					len(meas.Survivors), picked.Pos, picked.Anchored, picked.Optimal, solved.Pos, solved.Anchored, solved.Optimal)
+			if !reflect.DeepEqual(picked.Pos, enumerated.Pos) || picked.Anchored != enumerated.Anchored ||
+				!picked.Optimal || !enumerated.Optimal || picked.Candidates != enumerated.Candidates {
+				t.Errorf("pick differs from enumeration over %d survivors\npicked:     %v anchored=%v optimal=%v candidates=%d\nenumerated: %v anchored=%v optimal=%v candidates=%d",
+					len(meas.Survivors), picked.Pos, picked.Anchored, picked.Optimal, picked.Candidates,
+					enumerated.Pos, enumerated.Anchored, enumerated.Optimal, enumerated.Candidates)
 			}
 		})
 	}
@@ -102,7 +103,9 @@ func TestSurvivorPickMatchesSolve(t *testing.T) {
 // TestBoundsMismatchSolves: with an explicit planner configuration whose
 // bounds form disagrees with the reconstruction's, the survivors describe
 // another constraint system and must not be picked from. MapMachine
-// solves instead, and the map equals the exhaustive survey's.
+// enumerates afresh instead, and the map equals the exhaustive survey's:
+// the same Pos, Anchored, Optimal and Candidates, with enumeration nodes
+// where the agreeing pick has none.
 func TestBoundsMismatchSolves(t *testing.T) {
 	for _, sku := range []*machine.SKU{machine.SKU8259CL, machine.SKU6354} {
 		die := coremap.DieInfo{Rows: sku.Rows, Cols: sku.Cols, IMC: sku.IMC}
@@ -122,19 +125,46 @@ func TestBoundsMismatchSolves(t *testing.T) {
 			exhaustive := run(coremap.Options{NoPlan: true, Locate: locate.Options{PaperExactBounds: paper}})
 			agreeing := run(coremap.Options{Probe: probe.Options{Plan: planOpts(paper)}, Locate: locate.Options{PaperExactBounds: paper}})
 			mismatched := run(coremap.Options{Probe: probe.Options{Plan: planOpts(!paper)}, Locate: locate.Options{PaperExactBounds: paper}})
-			if agreeing.Candidates == 0 {
-				t.Fatalf("%s paper=%v: agreeing bounds did not pick; the mismatch check below is vacuous", sku.Name, paper)
+			if agreeing.SolverNodes != 0 {
+				t.Fatalf("%s paper=%v: agreeing bounds did not pick (%d nodes); the mismatch check below is vacuous",
+					sku.Name, paper, agreeing.SolverNodes)
 			}
-			if mismatched.Candidates != 0 || mismatched.SolverNodes == 0 {
-				t.Errorf("%s paper=%v: mismatched bounds picked from the survivors (%d candidates, %d nodes)",
-					sku.Name, paper, mismatched.Candidates, mismatched.SolverNodes)
+			if mismatched.SolverNodes == 0 {
+				t.Errorf("%s paper=%v: mismatched bounds picked from the survivors", sku.Name, paper)
 			}
 			for name, res := range map[string]*coremap.Result{"agreeing": agreeing, "mismatched": mismatched} {
-				if !reflect.DeepEqual(identity(res), identity(exhaustive)) {
-					t.Errorf("%s paper=%v: %s-bounds map differs from the exhaustive map\ngot:  %+v\nwant: %+v",
-						sku.Name, paper, name, identity(res), identity(exhaustive))
+				if !reflect.DeepEqual(identity(res), identity(exhaustive)) || res.Candidates != exhaustive.Candidates ||
+					res.Ambiguous != exhaustive.Ambiguous || res.Candidates == 0 || !res.Optimal {
+					t.Errorf("%s paper=%v: %s-bounds map differs from the exhaustive map\ngot:  %+v (%d candidates)\nwant: %+v (%d candidates)",
+						sku.Name, paper, name, identity(res), res.Candidates, identity(exhaustive), exhaustive.Candidates)
 				}
 			}
+		}
+	}
+}
+
+// TestNoPlanMapsReportAmbiguity: an exhaustively surveyed (NoPlan) map
+// is picked from an enumeration of the complete feasible set, so it says
+// whether the observations pin it down. Fusing pattern 0 of the 8124M
+// leaves five canonical placements; the anchored 8259CL map has one.
+func TestNoPlanMapsReportAmbiguity(t *testing.T) {
+	for _, c := range []struct {
+		sku        *machine.SKU
+		anchors    bool
+		candidates int
+	}{
+		{machine.SKU8124M, false, 5},
+		{machine.SKU8259CL, true, 1},
+	} {
+		die := coremap.DieInfo{Rows: c.sku.Rows, Cols: c.sku.Cols, IMC: c.sku.IMC}
+		res, err := coremap.MapMachine(context.Background(), machine.Generate(c.sku, 0, machine.Config{Seed: 1}), die,
+			coremap.Options{NoPlan: true, MemoryAnchors: c.anchors, Probe: probe.Options{Seed: 1}})
+		if err != nil {
+			t.Fatalf("%s: %v", c.sku.Name, err)
+		}
+		if res.Candidates != c.candidates || res.Ambiguous != (c.candidates > 1) || !res.Optimal || res.SolverNodes == 0 {
+			t.Errorf("%s anchors=%v: %d candidates, ambiguous=%v, optimal=%v, %d nodes; want %d candidates from a search",
+				c.sku.Name, c.anchors, res.Candidates, res.Ambiguous, res.Optimal, res.SolverNodes, c.candidates)
 		}
 	}
 }
