@@ -17,7 +17,7 @@
 //     row/column position variables) whose bounded enumeration (one
 //     resumable ilp.Enumerator per survey) materializes the surviving
 //     placement set once ambiguity drops under Options.AmbiguityCap;
-//   - exact observation prediction (route.Classify, the Y-then-X
+//   - exact observation prediction (route.Walk, the Y-then-X
 //     dimension-order model), used to partition survivors by predicted
 //     outcome;
 //   - the observation's clauses evaluated on a placement (route.Check),
@@ -188,6 +188,9 @@ type Stats struct {
 	// Fallback reports that the planner degraded to measure-everything
 	// mode after the surviving set emptied.
 	Fallback bool
+	// Predictions counts the survivor predictions scoring computed: one
+	// per surviving placement for every candidate a round partitioned.
+	Predictions int
 }
 
 // candidate measurement lifecycle.
@@ -207,16 +210,26 @@ type Planner struct {
 	cands  []Candidate
 	state  []candState
 
+	// srcGap is route.SrcGap(Options.PaperExactBounds).
+	srcGap int
+
 	observations []route.Observation
 	// survivors is the materialized set of placements (CHA → coordinate)
 	// consistent with every observation so far; nil until the first
-	// complete enumeration.
+	// complete enumeration. tiles[i] indexes survivors[i] by tile (see
+	// tileIndex) and is filtered in step with it.
 	survivors [][]mesh.Coord
+	tiles     [][]byte
 	fallback  bool
 	converged bool
+	// retired marks candidates a scoring round found unable to split the
+	// survivors. The set is only filtered after it is installed, so they
+	// can never split it again, and later rounds skip them.
+	retired []bool
 
 	rounds, enumerations   int
 	measuredCnt, failedCnt int
+	predictions            int
 	// nodeBudget is the number of search nodes the next materialization
 	// attempt may add to the resumed enumeration. It starts small and
 	// doubles after every incomplete attempt (up to Options.MaxNodes),
@@ -234,8 +247,11 @@ type Planner struct {
 	enum     *ilp.Enumerator
 
 	// scratch reused across rounds.
+	hops      []route.Hop
 	keyBuf    []byte
-	counts    map[string]int
+	keyEnds   []int
+	blocks    blockCounter
+	deg       []int
 	remaining []int
 	scored    []scoredCand
 }
@@ -274,11 +290,13 @@ func New(opts Options, numCHA int, cands []Candidate) (*Planner, error) {
 		}
 	}
 	return &Planner{
-		opts:   opts,
-		numCHA: numCHA,
-		cands:  append([]Candidate(nil), cands...),
-		state:  make([]candState, len(cands)),
-		counts: make(map[string]int),
+		opts:    opts,
+		numCHA:  numCHA,
+		srcGap:  route.SrcGap(opts.PaperExactBounds),
+		cands:   append([]Candidate(nil), cands...),
+		state:   make([]candState, len(cands)),
+		retired: make([]bool, len(cands)),
+		deg:     make([]int, numCHA),
 	}, nil
 }
 
@@ -302,6 +320,7 @@ func (pl *Planner) Stats() Stats {
 		Ambiguity:    len(pl.survivors),
 		Converged:    pl.converged,
 		Fallback:     pl.fallback,
+		Predictions:  pl.predictions,
 	}
 }
 
@@ -378,20 +397,21 @@ func (pl *Planner) Observe(ci int, o route.Observation) {
 	if pl.survivors == nil {
 		return
 	}
-	kept := pl.survivors[:0]
-	for _, p := range pl.survivors {
-		if pl.consistent(o, p) {
+	kept, keptTiles := pl.survivors[:0], pl.tiles[:0]
+	for i, p := range pl.survivors {
+		if pl.consistent(&o, p) {
 			kept = append(kept, p)
+			keptTiles = append(keptTiles, pl.tiles[i])
 		}
 	}
-	pl.survivors = kept
+	pl.survivors, pl.tiles = kept, keptTiles
 	if len(pl.survivors) == 0 {
 		// Every placement the constraints admitted is contradicted: the
 		// prediction model and reality have diverged (which the design
 		// rules out for supported configurations, but a degraded or
 		// misconfigured run can get here). Degrade to the exhaustive
 		// sweep; the reconstruction then sees everything measurable.
-		pl.survivors = nil
+		pl.survivors, pl.tiles = nil, nil
 		pl.fallback = true
 	}
 }
@@ -451,8 +471,10 @@ func (pl *Planner) materialize(ctx context.Context) (err error) {
 		return nil
 	}
 	pl.survivors = make([][]mesh.Coord, len(res.Solutions))
+	pl.tiles = make([][]byte, len(res.Solutions))
 	for i, proj := range res.Solutions {
 		pl.survivors[i] = pl.space.Placement(proj)
+		pl.tiles[i] = pl.tileIndex(pl.survivors[i])
 	}
 	return nil
 }
@@ -463,7 +485,7 @@ func (pl *Planner) materialize(ctx context.Context) (err error) {
 func (pl *Planner) extendModel() {
 	if pl.space == nil {
 		pl.space = route.NewSpace(pl.numCHA, pl.opts.Rows, pl.opts.Cols,
-			pl.opts.IMCPositions, route.SrcGap(pl.opts.PaperExactBounds))
+			pl.opts.IMCPositions, pl.srcGap)
 	}
 	for _, o := range pl.observations[pl.modelObs:] {
 		pl.space.Add(o)
@@ -494,17 +516,19 @@ func (pl *Planner) seedBatch(remaining []int) []int {
 		return mem
 	}
 	// Pivot star over pair candidates.
-	deg := make(map[int]int)
+	deg, pairs := pl.deg, false
+	clear(deg)
 	for _, ci := range remaining {
 		if c := pl.cands[ci]; c.Kind == KindPair {
 			deg[c.SrcCHA]++
 			deg[c.DstCHA]++
+			pairs = true
 		}
 	}
-	if len(deg) > 0 {
+	if pairs {
 		pivot, best := -1, 0
-		for cha := 0; cha < pl.numCHA; cha++ {
-			if d := deg[cha]; d > best {
+		for cha, d := range deg {
+			if d > best {
 				pivot, best = cha, d
 			}
 		}
@@ -527,15 +551,22 @@ func (pl *Planner) seedBatch(remaining []int) []int {
 // scoreAndPick partitions the survivors by each unmeasured candidate's
 // predicted observation and returns the candidates that split the set
 // most evenly (smallest largest-block first, pool order as tie-break).
-// When no candidate splits the set at all, the survey has converged:
-// every remaining measurement is already decided by the constraints in
-// hand, so it sets pl.converged and returns nothing.
+// A candidate that does not split the set is retired (Planner.retired):
+// a prediction every member of the set shares, every member of a subset
+// shares too. When no candidate splits the set at all, the survey has
+// converged: every remaining measurement is already decided by the
+// constraints in hand, so it sets pl.converged and returns nothing.
 func (pl *Planner) scoreAndPick(remaining []int) []int {
 	scored := pl.scored[:0]
 	for _, ci := range remaining {
+		if pl.retired[ci] {
+			continue
+		}
 		blocks, maxBlock := pl.partition(pl.cands[ci])
 		if blocks > 1 {
 			scored = append(scored, scoredCand{idx: ci, score: maxBlock})
+		} else {
+			pl.retired[ci] = true
 		}
 	}
 	pl.scored = scored
@@ -562,20 +593,14 @@ func (pl *Planner) scoreAndPick(remaining []int) []int {
 
 // partition groups the survivors by candidate c's predicted observation,
 // returning the number of distinct outcomes and the largest group size.
+// The survivors' keys are laid end to end in one reused buffer.
 func (pl *Planner) partition(c Candidate) (blocks, maxBlock int) {
-	counts := pl.counts
-	for k := range counts {
-		delete(counts, k)
+	buf, ends := pl.keyBuf[:0], pl.keyEnds[:0]
+	for i, p := range pl.survivors {
+		buf = pl.predictKey(buf, c, p, pl.tiles[i])
+		ends = append(ends, len(buf))
 	}
-	for _, p := range pl.survivors {
-		key := pl.predictKey(c, p)
-		counts[string(key)]++
-	}
-	for _, n := range counts {
-		blocks++
-		if n > maxBlock {
-			maxBlock = n
-		}
-	}
-	return blocks, maxBlock
+	pl.keyBuf, pl.keyEnds = buf, ends
+	pl.predictions += len(ends)
+	return pl.blocks.count(buf, ends)
 }

@@ -120,9 +120,9 @@ func TestPlannerConvergesOnToyPlacement(t *testing.T) {
 			continue
 		}
 		c := pl.cands[ci]
-		want := string(pl.predictKey(c, pl.survivors[0]))
-		for _, p := range pl.survivors[1:] {
-			if got := string(pl.predictKey(c, p)); got != want {
+		want := string(pl.predictKey(nil, c, pl.survivors[0], pl.tiles[0]))
+		for i, p := range pl.survivors[1:] {
+			if got := string(pl.predictKey(nil, c, p, pl.tiles[i+1])); got != want {
 				t.Fatalf("skipped candidate %d still splits survivors: %q vs %q", ci, got, want)
 			}
 		}
@@ -156,12 +156,12 @@ func TestPlannerObservationsFilterSurvivors(t *testing.T) {
 	}
 	c := Candidate{Kind: KindMemory, SrcCHA: -1, DstCHA: 0, IMC: 0}
 	o := trueObs(pl, c, toyTruth)
-	if !pl.consistent(o, toyTruth) {
+	if !pl.consistent(&o, toyTruth) {
 		t.Fatal("truth rejected by its own observation")
 	}
 	moved := append([]mesh.Coord(nil), toyTruth...)
 	moved[2] = mesh.Coord{Row: 1, Col: 2} // CHA 2 observes IMC→CHA0 on column 0
-	if pl.consistent(o, moved) {
+	if pl.consistent(&o, moved) {
 		t.Fatal("off-column observer placement should be inconsistent")
 	}
 }
@@ -287,10 +287,12 @@ func TestKindOp(t *testing.T) {
 }
 
 // TestPredictKeyChannelBytes pins predictKey's byte encoding on the toy
-// die: (channel, CHA) pairs with the route.Channel byte values up=1,
-// down=2, horz=3. The keys order the schedule, so a drift in either the
-// channel values or the pair layout would silently change every planned
-// survey.
+// die: (channel, CHA) pairs in ascending CHA order, with the
+// route.Channel byte values up=1, down=2, horz=3. The planner only
+// counts equal keys, so the schedule needs the encoding to be injective
+// — one key per observation — rather than these exact bytes; the pin
+// catches a change to the layout (a dropped channel byte, observers out
+// of CHA order) before it can merge or split blocks.
 func TestPredictKeyChannelBytes(t *testing.T) {
 	pl, err := New(toyOptions(), len(toyTruth), toyCandidates(len(toyTruth)))
 	if err != nil {
@@ -307,7 +309,7 @@ func TestPredictKeyChannelBytes(t *testing.T) {
 		{Candidate{Kind: KindPair, SrcCHA: 0, DstCHA: 4, SrcCPU: 0, DstCPU: 4}, []byte{2, 2, 3, 4}},
 	}
 	for _, tc := range cases {
-		if got := pl.predictKey(tc.c, toyTruth); !reflect.DeepEqual(got, tc.want) {
+		if got := pl.predictKey(nil, tc.c, toyTruth, pl.tileIndex(toyTruth)); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("predictKey(%+v) = %v, want %v", tc.c, got, tc.want)
 		}
 	}

@@ -180,3 +180,121 @@ func TestPlannerModelDedupesRows(t *testing.T) {
 			n, len(distinct), raw.NumConstraints(), len(deduped.Solutions), deduped.Complete, deduped.Nodes)
 	}
 }
+
+// classifyKey is predictKey's reference: route.Classify on the tile of
+// every CHA in ascending order, with no route walk or tile index.
+func classifyKey(pl *Planner, c Candidate, p []mesh.Coord) string {
+	src, dst := pl.routeEndpoints(c, p)
+	var key []byte
+	for k, t := range p {
+		if ch := route.Classify(src, dst, t); ch != route.ChanNone {
+			key = append(key, byte(ch), byte(k))
+		}
+	}
+	return string(key)
+}
+
+// referenceBatch is the scorer without retirement: it re-partitions the
+// survivors by every remaining candidate's classifyKey and returns the
+// BatchSize splitting candidates with the smallest largest block, pool
+// order breaking ties.
+func referenceBatch(pl *Planner, remaining []int) []int {
+	type ranked struct{ idx, maxBlock int }
+	var splits []ranked
+	for _, ci := range remaining {
+		counts := map[string]int{}
+		for _, p := range pl.survivors {
+			counts[classifyKey(pl, pl.cands[ci], p)]++
+		}
+		if len(counts) > 1 {
+			r := ranked{idx: ci}
+			for _, n := range counts {
+				r.maxBlock = max(r.maxBlock, n)
+			}
+			splits = append(splits, r)
+		}
+	}
+	sort.Slice(splits, func(i, j int) bool {
+		if splits[i].maxBlock != splits[j].maxBlock {
+			return splits[i].maxBlock < splits[j].maxBlock
+		}
+		return splits[i].idx < splits[j].idx
+	})
+	var batch []int
+	for i := 0; i < len(splits) && i < pl.opts.BatchSize; i++ {
+		batch = append(batch, splits[i].idx)
+	}
+	return batch
+}
+
+// TestRetiredCandidatesMatchReferenceScorer drives seeded 8259CL and
+// 6354 surveys and checks every scored round against referenceBatch:
+// each retired candidate still predicts one key across the current
+// survivors, and skipping the retired candidates — and predicting by
+// route walk — leaves every batch equal to the reference's.
+func TestRetiredCandidatesMatchReferenceScorer(t *testing.T) {
+	for _, tc := range []struct {
+		sku     *machine.SKU
+		pattern int
+		seed    int64
+	}{
+		{machine.SKU8259CL, 0, 1},
+		{machine.SKU8259CL, 1, 1},
+		{machine.SKU6354, 0, 1},
+		{machine.SKU6354, 1, 2},
+	} {
+		t.Run(fmt.Sprintf("%s/pattern%d", tc.sku.Name, tc.pattern), func(t *testing.T) {
+			opts, numCHA, cands, truth := surveyInstance(tc.sku, tc.pattern, tc.seed)
+			pl, err := New(opts, numCHA, cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scored, retiredMax := 0, 0
+			for round := 0; ; round++ {
+				if round > 1000 {
+					t.Fatal("planner failed to terminate")
+				}
+				var remaining []int
+				for ci, st := range pl.state {
+					if st == candUnmeasured {
+						remaining = append(remaining, ci)
+					}
+				}
+				batch, err := pl.NextBatch(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pl.survivors != nil {
+					scored++
+					if want := referenceBatch(pl, remaining); !reflect.DeepEqual(batch, want) {
+						t.Fatalf("round %d: batch %v, reference scorer picks %v", round, batch, want)
+					}
+					retired := 0
+					for ci, r := range pl.retired {
+						if !r {
+							continue
+						}
+						retired++
+						want := classifyKey(pl, cands[ci], pl.survivors[0])
+						for _, p := range pl.survivors[1:] {
+							if got := classifyKey(pl, cands[ci], p); got != want {
+								t.Fatalf("round %d: retired candidate %d splits the %d survivors", round, ci, len(pl.survivors))
+							}
+						}
+					}
+					retiredMax = max(retiredMax, retired)
+				}
+				if len(batch) == 0 {
+					break
+				}
+				for _, ci := range batch {
+					pl.Observe(ci, trueObs(pl, cands[ci], truth))
+				}
+			}
+			t.Logf("%d scored rounds, up to %d retired candidates", scored, retiredMax)
+			if scored == 0 || retiredMax == 0 {
+				t.Fatalf("survey exercised no scoring (%d rounds) or no retirement (%d candidates)", scored, retiredMax)
+			}
+		})
+	}
+}

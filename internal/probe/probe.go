@@ -1379,6 +1379,7 @@ func (p *Prober) runPlanned(ppin uint64, ro RunOptions) (*Result, error) {
 	res.Survivors = slices.Clone(pm.Survivors())
 	st := pm.Stats()
 	p.reg.Gauge("plan/rounds").Set(int64(st.Rounds))
+	p.reg.Gauge("plan/predictions").Set(int64(st.Predictions))
 	p.reg.Gauge("plan/enumerations").Set(int64(st.Enumerations))
 	p.reg.Gauge("plan/measured").Set(int64(st.Measured))
 	p.reg.Gauge("plan/skipped").Set(int64(st.Skipped))

@@ -157,3 +157,73 @@ func FuzzObservationModel(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRouteWalk checks Walk against Classify, the reference, on random
+// grids up to 4×4: Walk must list exactly the tiles Classify charges,
+// each once and with Classify's channel, as a path of adjacent tiles
+// that leaves src and ends at dst. The flow is drawn as a memory flow
+// from an IMC position, a zero-length flow, a same-row flow, a
+// same-column flow or a flow between two CHA tiles; the seeds cover
+// each.
+func FuzzRouteWalk(f *testing.F) {
+	f.Add([]byte{})
+	prefix := []byte{3, 3, 0, 5, 7, 1, 2, 3, 4, 5, 6, 7, 8, 0}
+	for mode := byte(0); mode < 5; mode++ {
+		f.Add(append(append([]byte(nil), prefix...), 2, mode, 1, 3))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := bytesrc(data)
+		in := decodeInstance(&b)
+		dst := in.truth[b.intn(len(in.truth))]
+		var src mesh.Coord
+		switch b.intn(5) {
+		case 0:
+			src = in.imc[b.intn(len(in.imc))]
+		case 1:
+			src = dst
+		case 2:
+			src = mesh.Coord{Row: dst.Row, Col: b.intn(in.cols)}
+		case 3:
+			src = mesh.Coord{Row: b.intn(in.rows), Col: dst.Col}
+		default:
+			src = in.truth[b.intn(len(in.truth))]
+		}
+		hops := Walk(nil, src, dst)
+		seen := map[mesh.Coord]bool{}
+		prev := src
+		for _, h := range hops {
+			if h.At.Row < 0 || h.At.Row >= in.rows || h.At.Col < 0 || h.At.Col >= in.cols {
+				t.Fatalf("%v→%v on %dx%d: hop %v leaves the grid", src, dst, in.rows, in.cols, h.At)
+			}
+			if seen[h.At] {
+				t.Fatalf("%v→%v: tile %v listed twice in %v", src, dst, h.At, hops)
+			}
+			seen[h.At] = true
+			if d := abs(h.At.Row-prev.Row) + abs(h.At.Col-prev.Col); d != 1 {
+				t.Fatalf("%v→%v: hop %v is %d steps from %v, want adjacent (%v)", src, dst, h.At, d, prev, hops)
+			}
+			if ch := Classify(src, dst, h.At); ch != h.Ch || ch == ChanNone {
+				t.Fatalf("%v→%v: Walk charges %v with %d, Classify with %d", src, dst, h.At, h.Ch, ch)
+			}
+			prev = h.At
+		}
+		if prev != dst {
+			t.Fatalf("%v→%v: route %v ends at %v", src, dst, hops, prev)
+		}
+		for r := 0; r < in.rows; r++ {
+			for c := 0; c < in.cols; c++ {
+				tile := mesh.Coord{Row: r, Col: c}
+				if ch := Classify(src, dst, tile); ch != ChanNone && !seen[tile] {
+					t.Fatalf("%v→%v: Walk %v misses %v, which Classify charges with %d", src, dst, hops, tile, ch)
+				}
+			}
+		}
+	})
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}

@@ -7,8 +7,9 @@
 // experiment; the planner (internal/plan) and the reconstruction
 // (internal/locate) both read observations through this package alone:
 //
-//   - Classify is exact prediction: the counter one tile charges for a
-//     flow;
+//   - Walk is exact prediction: a flow's receiving tiles, each with the
+//     counter it charges; Classify answers the same for one tile and is
+//     the reference Walk is tested against;
 //   - Linear, SrcBounds and DstBounds decode an observation into the
 //     clauses the placement must satisfy (clause.go);
 //   - Check evaluates those clauses on a concrete placement and names
@@ -51,8 +52,10 @@ func (o *Observation) Source(pos, imc []mesh.Coord) mesh.Coord {
 
 // Channel identifies which ingress counter a tile charges for a flow.
 // The byte values are part of the planner's partition-key encoding
-// (plan's predictKey orders its keys, and with them the measurement
-// schedule, by these bytes); they must not change.
+// (plan's predictKey), which its tests pin byte for byte, so they must
+// not change. The keys are only compared for equality — the planner
+// counts how many survivors share each one — so the schedule depends on
+// the values being distinct, not on their order.
 type Channel byte
 
 const (
@@ -95,4 +98,38 @@ func Classify(src, dst, t mesh.Coord) Channel {
 		return ChanHorz
 	}
 	return ChanNone
+}
+
+// Hop is one receiving tile of a route and the counter it charges.
+type Hop struct {
+	At mesh.Coord
+	Ch Channel
+}
+
+// Walk appends the receiving tiles of the flow src → dst to hops in
+// route order — along src's column to dst's row, the corner tile
+// included, then along dst's row to dst — each with the channel
+// Classify reports for it. Every tile Walk omits classifies ChanNone, so
+// a flow's observers are found in at most rows+cols−2 steps instead of
+// one Classify per tile. A zero-length flow (src == dst) appends nothing.
+func Walk(hops []Hop, src, dst mesh.Coord) []Hop {
+	if dst.Row != src.Row {
+		ch, step := ChanDown, 1
+		if dst.Row < src.Row {
+			ch, step = ChanUp, -1
+		}
+		for r := src.Row + step; r != dst.Row+step; r += step {
+			hops = append(hops, Hop{At: mesh.Coord{Row: r, Col: src.Col}, Ch: ch})
+		}
+	}
+	if dst.Col != src.Col {
+		step := 1
+		if dst.Col < src.Col {
+			step = -1
+		}
+		for c := src.Col + step; c != dst.Col+step; c += step {
+			hops = append(hops, Hop{At: mesh.Coord{Row: dst.Row, Col: c}, Ch: ChanHorz})
+		}
+	}
+	return hops
 }

@@ -52,8 +52,10 @@ func TestClassifyRoutes(t *testing.T) {
 }
 
 // TestChannelValuesPinned pins the Channel byte values the planner's
-// predictKey encoding depends on: the keys order the measurement
-// schedule, so changing them would silently change every planned survey.
+// predictKey encoding is built from. The planner only counts how many
+// survivors share a key, so any distinct values give the same schedule;
+// the pin keeps the encoding — and the key bytes its tests pin —
+// stable, and makes a change to it a deliberate one.
 func TestChannelValuesPinned(t *testing.T) {
 	pins := []struct {
 		ch   Channel

@@ -136,6 +136,34 @@ func TestTelemetryTransparent(t *testing.T) {
 	}
 }
 
+// TestPlanPredictionsCounter checks the planner's deterministic work
+// counter: plan/predictions is positive and repeats exactly across two
+// identically-seeded planned maps, and stays zero on a NoPlan map, which
+// never runs the planner.
+func TestPlanPredictionsCounter(t *testing.T) {
+	predictions := func(noPlan bool) int64 {
+		tel := obs.New(obs.Config{})
+		ctx := obs.With(context.Background(), tel)
+		sku := machine.SKU8259CL
+		m := machine.Generate(sku, 1, machine.Config{Seed: 1})
+		if _, err := MapMachine(ctx, m, DieInfo{Rows: sku.Rows, Cols: sku.Cols}, Options{
+			NoPlan: noPlan,
+			Probe:  probe.Options{Seed: 1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return tel.Registry().Snapshot().Gauges["plan/predictions"]
+	}
+	a, b := predictions(false), predictions(false)
+	t.Logf("plan/predictions %d", a)
+	if a == 0 || a != b {
+		t.Errorf("plan/predictions over two identical planned maps: %d and %d, want equal and positive", a, b)
+	}
+	if n := predictions(true); n != 0 {
+		t.Errorf("plan/predictions on a NoPlan map = %d, want 0", n)
+	}
+}
+
 // TestTraceDeterministic pins satellite invariant: two identically-seeded
 // runs under a fake clock emit byte-identical JSONL traces.
 func TestTraceDeterministic(t *testing.T) {
