@@ -2,10 +2,8 @@ package ilp
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -59,72 +57,35 @@ func bruteFeasible(m *Model, visit func(vals []int64)) {
 	rec(0)
 }
 
-// bruteProjections returns the distinct projections of m's feasible set
-// onto proj, sorted lexicographically.
-func bruteProjections(m *Model, proj []Var) [][]int64 {
-	seen := map[string]bool{}
+// bruteSolutions returns m's feasible assignments in lexicographic
+// order.
+func bruteSolutions(m *Model) [][]int64 {
 	var out [][]int64
 	bruteFeasible(m, func(vals []int64) {
-		p := make([]int64, len(proj))
-		for i, v := range proj {
-			p[i] = vals[v]
-		}
-		if k := fmt.Sprint(p); !seen[k] {
-			seen[k] = true
-			out = append(out, p)
-		}
+		out = append(out, append([]int64(nil), vals...))
 	})
-	sortVectors(out)
 	return out
 }
 
-func sortVectors(vs [][]int64) {
-	sort.Slice(vs, func(i, j int) bool { return slices.Compare(vs[i], vs[j]) < 0 })
-}
-
 // tinyPlacementModel draws a placementModel small enough to enumerate.
-func tinyPlacementModel(seed int64) (*Model, []Var) {
+func tinyPlacementModel(seed int64) *Model {
 	r := rand.New(rand.NewSource(seed))
-	tiles := 2 + r.Intn(2)
-	m := placementModel(tiles, 1+r.Intn(2), 2+r.Intn(2))
-	// placementModel declares R_i, C_i for every tile first.
-	proj := make([]Var, 2*tiles)
-	for i := range proj {
-		proj[i] = Var(i)
-	}
-	return m, proj
-}
-
-// seedProjection picks a non-empty subset of m's variables from the seed
-// bits.
-func seedProjection(m *Model, seed int64) []Var {
-	var proj []Var
-	for v := 0; v < m.NumVars(); v++ {
-		if (seed>>v)&1 == 0 {
-			proj = append(proj, Var(v))
-		}
-	}
-	if len(proj) == 0 {
-		proj = append(proj, 0)
-	}
-	return proj
+	return placementModel(2+r.Intn(2), 1+r.Intn(2), 2+r.Intn(2))
 }
 
 // FuzzEnumerateBruteForce checks Enumerate against exhaustive
 // enumeration of the variable domains: on random tiny models, the
-// enumerated projection set must equal the brute-force feasible set's
-// projection — empty exactly when no assignment is feasible.
-// The seed corpus (seeds 1–12) runs under plain go test; go test -fuzz
-// explores further seeds.
+// enumerated assignments must equal the brute-force feasible set, in the
+// same lexicographic order — empty exactly when no assignment is
+// feasible. The seed corpus (seeds 1–12) runs under plain go test; go
+// test -fuzz explores further seeds.
 func FuzzEnumerateBruteForce(f *testing.F) {
 	for seed := int64(1); seed <= 12; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		rm := randomModel(seed)
-		checkBruteForce(t, "random", rm, seedProjection(rm, seed))
-		pm, proj := tinyPlacementModel(seed)
-		checkBruteForce(t, "placement", pm, proj)
+		checkBruteForce(t, "random", randomModel(seed))
+		checkBruteForce(t, "placement", tinyPlacementModel(seed))
 	})
 }
 
@@ -135,8 +96,7 @@ func FuzzEnumerateBruteForce(f *testing.F) {
 func TestSolveDeterministicAcrossReduce(t *testing.T) {
 	for _, cm := range corpus() {
 		t.Run(cm.name, func(t *testing.T) {
-			m := cm.build()
-			checkBruteForce(t, cm.name, m, corpusProjection(m))
+			checkBruteForce(t, cm.name, cm.build())
 		})
 	}
 }
@@ -147,8 +107,8 @@ func TestPresolveDetectsInfeasibleMerge(t *testing.T) {
 	m := NewModel()
 	x := m.NewVar("x", 0, 1)
 	y := m.NewVar("y", 3, 4)
-	m.AddEq("xy", []Term{T(1, x), T(-1, y)}, 0)
-	res, err := Enumerate(context.Background(), m, EnumOptions{Project: []Var{x, y}})
+	m.AddRange("xy", []Term{T(1, x), T(-1, y)}, 0, 0)
+	res, err := Enumerate(context.Background(), m, EnumOptions{}, 0)
 	if err != nil || !res.Complete || len(res.Solutions) != 0 {
 		t.Errorf("got %+v, %v; want a complete, empty enumeration", res, err)
 	}
@@ -171,7 +131,7 @@ func TestPresolveEquivalence(t *testing.T) {
 		for i := 0; i < r.Intn(3); i++ {
 			a, b := vars[r.Intn(n)], vars[r.Intn(n)]
 			if a != b {
-				m.AddEq("eq", []Term{T(1, a), T(-1, b)}, 0)
+				m.AddRange("eq", []Term{T(1, a), T(-1, b)}, 0, 0)
 			}
 		}
 		// Random inequalities.
@@ -183,12 +143,12 @@ func TestPresolveEquivalence(t *testing.T) {
 				}
 			}
 			if len(terms) > 0 {
-				m.AddLE("c", terms, int64(r.Intn(9))-2)
+				m.AddRange("c", terms, NegInf, int64(r.Intn(9))-2)
 			}
 		}
 
-		want := bruteProjections(m, vars)
-		res, err := Enumerate(context.Background(), m, EnumOptions{Project: vars})
+		want := bruteSolutions(m)
+		res, err := Enumerate(context.Background(), m, EnumOptions{}, 0)
 		if err != nil || !res.Complete {
 			t.Logf("seed %d: err=%v complete=%v", seed, err, res != nil && res.Complete)
 			return false
@@ -204,21 +164,19 @@ func TestPresolveEquivalence(t *testing.T) {
 	}
 }
 
-// checkBruteForce enumerates m projected on proj and compares the set
+// checkBruteForce enumerates m and compares the assignments, in order,
 // with brute force.
-func checkBruteForce(t *testing.T, name string, m *Model, proj []Var) {
+func checkBruteForce(t *testing.T, name string, m *Model) {
 	t.Helper()
-	res, err := Enumerate(context.Background(), m, EnumOptions{Project: proj})
+	res, err := Enumerate(context.Background(), m, EnumOptions{}, 0)
 	if err != nil {
 		t.Fatalf("%s: enumerate: %v", name, err)
 	}
 	if !res.Complete {
 		t.Fatalf("%s: enumeration incomplete", name)
 	}
-	got := append([][]int64(nil), res.Solutions...)
-	sortVectors(got)
-	if wantSet := bruteProjections(m, proj); !reflect.DeepEqual(got, wantSet) && len(got)+len(wantSet) > 0 {
-		t.Fatalf("%s: enumerated %v, brute force %v", name, got, wantSet)
+	if want := bruteSolutions(m); !reflect.DeepEqual(res.Solutions, want) && len(res.Solutions)+len(want) > 0 {
+		t.Fatalf("%s: enumerated %v, brute force %v", name, res.Solutions, want)
 	}
 }
 
@@ -229,12 +187,11 @@ type fuzzRow struct {
 	lo, hi int64
 }
 
-// resumeModel draws a small model as variable domains plus rows, and the
-// projection to enumerate. Odd seeds draw a random model over a random
-// variable subset; even seeds draw a noc-style worker fix — (x, y)
-// projected, with per-observation wrap binaries and distance variables
-// left to the completion check.
-func resumeModel(r *rand.Rand) (doms [][2]int64, rows []fuzzRow, proj []Var) {
+// resumeModel draws a small model as variable domains plus rows. Half
+// the draws are random models; the other half are noc-style worker fixes
+// — (x, y) with a wrap binary and a distance variable per observation
+// axis, each fixed by (x, y).
+func resumeModel(r *rand.Rand) (doms [][2]int64, rows []fuzzRow) {
 	if r.Intn(2) == 0 {
 		n := 3 + r.Intn(3)
 		for range n {
@@ -258,15 +215,7 @@ func resumeModel(r *rand.Rand) (doms [][2]int64, rows []fuzzRow, proj []Var) {
 				rows = append(rows, fuzzRow{terms, rhs - 4, PosInf})
 			}
 		}
-		for v := range n {
-			if r.Intn(3) > 0 {
-				proj = append(proj, Var(v))
-			}
-		}
-		if len(proj) == 0 {
-			proj = []Var{0}
-		}
-		return doms, rows, proj
+		return doms, rows
 	}
 	const w = 3
 	doms = [][2]int64{{0, w - 1}, {0, w - 1}}
@@ -285,7 +234,7 @@ func resumeModel(r *rand.Rand) (doms [][2]int64, rows []fuzzRow, proj []Var) {
 			fuzzRow{[]Term{T(1, 1), T(w, ky), T(-1, dy)}, ay, ay},
 			fuzzRow{[]Term{T(1, dx), T(1, dy)}, hops, hops})
 	}
-	return doms, rows, []Var{0, 1}
+	return doms, rows
 }
 
 func buildFuzzModel(doms [][2]int64, rows []fuzzRow) *Model {
@@ -303,22 +252,22 @@ func buildFuzzModel(doms [][2]int64, rows []fuzzRow) *Model {
 // enumeration and brute force. A random small model's rows arrive in
 // one to four batches, each followed by Runs under a small random node
 // budget that doubles after every Run without a verdict, and Accept
-// grows stricter between batches. Every Run that
-// reports Complete must hold exactly the projections a fresh Enumerate
-// of the same row prefix finds, in the same order, and the brute-force
-// projected set; a Run that overruns the cap must see the fresh call
-// overrun too, with the same first Cap projections. The seed corpus
-// runs under plain go test; go test -fuzz explores further seeds.
+// grows stricter between batches. Every Run that reports Complete must
+// hold exactly the assignments a fresh Enumerate of the same row prefix
+// finds, in the same order, and the brute-force feasible set; a Run that
+// overruns the cap must see the fresh call overrun too, with the same
+// first Cap assignments. The seed corpus runs under plain go test; go
+// test -fuzz explores further seeds.
 func FuzzEnumerateResume(f *testing.F) {
 	for seed := int64(1); seed <= 64; seed++ {
 		f.Add(seed)
 	}
-	// A recheck cut short by the budget must not report the projections
-	// it has not verified yet.
+	// A regression seed: it once caught a recheck reporting recorded
+	// solutions it had not yet checked against the newest rows.
 	f.Add(int64(-334))
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
-		doms, rows, proj := resumeModel(r)
+		doms, rows := resumeModel(r)
 		capN := r.Intn(5) // 0 = unbounded
 		base := 1 + r.Intn(30)
 		banned := map[int64]bool{}
@@ -339,10 +288,7 @@ func FuzzEnumerateResume(f *testing.F) {
 		cut = append(cut, len(rows))
 
 		m := buildFuzzModel(doms, nil)
-		e, err := NewEnumerator(m, EnumOptions{Project: proj, Cap: capN, Accept: accept})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := NewEnumerator(m, EnumOptions{Cap: capN, Accept: accept})
 		for b := 1; b < len(cut); b++ {
 			for _, row := range rows[cut[b-1]:cut[b]] {
 				m.AddRange("r", row.terms, row.lo, row.hi)
@@ -360,21 +306,13 @@ func FuzzEnumerateResume(f *testing.F) {
 				if err != nil {
 					t.Fatalf("batch %d run %d: %v", b, run, err)
 				}
-				verified := 0
-				for _, f := range e.found {
-					if f.rows == len(e.s.cons) {
-						verified++
-					}
-				}
-				overflow := capN > 0 && verified > capN
-				if !res.Complete && !overflow {
-					// A cut-short completion check restarts in the next
-					// Run, so the budget grows as the planner's does.
+				if !res.Complete && !e.overflowed() {
+					// The budget grows as the planner's does.
 					budget *= 2
 					continue
 				}
 				fresh, err := Enumerate(context.Background(), buildFuzzModel(doms, prefix),
-					EnumOptions{Project: proj, Cap: capN, Accept: accept})
+					EnumOptions{Cap: capN, Accept: accept}, 0)
 				if err != nil {
 					t.Fatalf("batch %d: fresh enumerate: %v", b, err)
 				}
@@ -384,15 +322,13 @@ func FuzzEnumerateResume(f *testing.F) {
 				}
 				if res.Complete {
 					var want [][]int64
-					for _, p := range bruteProjections(buildFuzzModel(doms, prefix), proj) {
+					for _, p := range bruteSolutions(buildFuzzModel(doms, prefix)) {
 						if accept(p) {
 							want = append(want, p)
 						}
 					}
-					got := append([][]int64(nil), res.Solutions...)
-					sortVectors(got)
-					if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-						t.Fatalf("batch %d: resumed %v, brute force %v", b, got, want)
+					if !reflect.DeepEqual(res.Solutions, want) && len(res.Solutions)+len(want) > 0 {
+						t.Fatalf("batch %d: resumed %v, brute force %v", b, res.Solutions, want)
 					}
 				}
 				break

@@ -28,7 +28,7 @@ func packingModel(n int, span int64) *Model {
 		vars[i] = m.NewVar("x", 0, span)
 	}
 	for i := 0; i+1 < n; i++ {
-		m.AddGE("ord", []Term{T(1, vars[i+1]), T(-1, vars[i])}, 1)
+		m.AddRange("ord", []Term{T(1, vars[i+1]), T(-1, vars[i])}, 1, PosInf)
 	}
 	return m
 }
@@ -50,12 +50,12 @@ func placementModel(tiles, rows, cols int) *Model {
 	// Chain of horizontal paths with unknown direction: tile i and i+1
 	// share a row, and one of east/west strict orderings holds.
 	for i := 0; i+1 < tiles; i++ {
-		m.AddEq(fmt.Sprintf("row%d", i), []Term{T(1, r[i]), T(-1, r[i+1])}, 0)
-		ne := m.NewBinary(fmt.Sprintf("NE%d", i))
-		nw := m.NewBinary(fmt.Sprintf("NW%d", i))
-		m.AddEq(fmt.Sprintf("dir%d", i), []Term{T(1, ne), T(1, nw)}, 1)
-		m.AddLE(fmt.Sprintf("east%d", i), []Term{T(1, c[i]), T(-1, c[i+1]), T(-big, ne)}, -1)
-		m.AddLE(fmt.Sprintf("west%d", i), []Term{T(1, c[i+1]), T(-1, c[i]), T(-big, nw)}, -1)
+		m.AddRange(fmt.Sprintf("row%d", i), []Term{T(1, r[i]), T(-1, r[i+1])}, 0, 0)
+		ne := m.NewVar(fmt.Sprintf("NE%d", i), 0, 1)
+		nw := m.NewVar(fmt.Sprintf("NW%d", i), 0, 1)
+		m.AddRange(fmt.Sprintf("dir%d", i), []Term{T(1, ne), T(1, nw)}, 1, 1)
+		m.AddRange(fmt.Sprintf("east%d", i), []Term{T(1, c[i]), T(-1, c[i+1]), T(-big, ne)}, NegInf, -1)
+		m.AddRange(fmt.Sprintf("west%d", i), []Term{T(1, c[i+1]), T(-1, c[i]), T(-big, nw)}, NegInf, -1)
 	}
 	// One-hot row encoding with occupancy indicators.
 	oh := make([][]Var, tiles)
@@ -64,25 +64,25 @@ func placementModel(tiles, rows, cols int) *Model {
 		sum := make([]Term, rows)
 		channel := []Term{T(-1, r[i])}
 		for k := 0; k < rows; k++ {
-			oh[i][k] = m.NewBinary(fmt.Sprintf("OH%d_%d", i, k))
+			oh[i][k] = m.NewVar(fmt.Sprintf("OH%d_%d", i, k), 0, 1)
 			sum[k] = T(1, oh[i][k])
 			if k > 0 {
 				channel = append(channel, T(int64(k), oh[i][k]))
 			}
 		}
-		m.AddEq(fmt.Sprintf("onehot%d", i), sum, 1)
-		m.AddEq(fmt.Sprintf("channel%d", i), channel, 0)
+		m.AddRange(fmt.Sprintf("onehot%d", i), sum, 1, 1)
+		m.AddRange(fmt.Sprintf("channel%d", i), channel, 0, 0)
 	}
 	for k := 0; k < rows; k++ {
-		ind := m.NewBinary(fmt.Sprintf("I%d", k))
+		ind := m.NewVar(fmt.Sprintf("I%d", k), 0, 1)
 		occ := make([]Term, 0, tiles)
 		for i := 0; i < tiles; i++ {
 			occ = append(occ, T(1, oh[i][k]))
 		}
 		lower := append([]Term{T(1, ind)}, negateTerms(occ)...)
-		m.AddLE(fmt.Sprintf("ind-lo%d", k), lower, 0)
+		m.AddRange(fmt.Sprintf("ind-lo%d", k), lower, NegInf, 0)
 		upper := append(append([]Term{}, occ...), T(-big, ind))
-		m.AddLE(fmt.Sprintf("ind-hi%d", k), upper, 0)
+		m.AddRange(fmt.Sprintf("ind-hi%d", k), upper, NegInf, 0)
 	}
 	return m
 }
@@ -116,9 +116,9 @@ func randomModel(seed int64) *Model {
 		}
 		rhs := int64(r.Intn(9)) - 2
 		if r.Intn(2) == 0 {
-			m.AddLE("c", terms, rhs)
+			m.AddRange("c", terms, NegInf, rhs)
 		} else {
-			m.AddGE("c", terms, rhs-6)
+			m.AddRange("c", terms, rhs-6, PosInf)
 		}
 	}
 	return m
@@ -140,23 +140,10 @@ func corpus() []corpusModel {
 	return models
 }
 
-// corpusProjection is the projection a corpus model is enumerated on:
-// its first four variables — two tiles' R and C on a placement model —
-// so the projected set stays small while the unprojected rest still
-// goes through the completion check.
-func corpusProjection(m *Model) []Var {
-	proj := make([]Var, min(4, m.NumVars()))
-	for i := range proj {
-		proj[i] = Var(i)
-	}
-	return proj
-}
-
 // enumerateCorpus enumerates one corpus model, which must complete.
 func enumerateCorpus(t *testing.T, cm corpusModel) *EnumResult {
 	t.Helper()
-	m := cm.build()
-	res, err := Enumerate(context.Background(), m, EnumOptions{Project: corpusProjection(m)})
+	res, err := Enumerate(context.Background(), cm.build(), EnumOptions{}, 0)
 	if err != nil {
 		t.Fatalf("%s: %v", cm.name, err)
 	}

@@ -12,17 +12,16 @@ import (
 )
 
 // enumModel2x2 builds x,y ∈ [0,1] with x+y ≤ 1: three feasible points.
-func enumModel2x2() (*Model, []Var) {
+func enumModel2x2() *Model {
 	m := NewModel()
 	x := m.NewVar("x", 0, 1)
 	y := m.NewVar("y", 0, 1)
-	m.AddLE("sum", []Term{T(1, x), T(1, y)}, 1)
-	return m, []Var{x, y}
+	m.AddRange("sum", []Term{T(1, x), T(1, y)}, NegInf, 1)
+	return m
 }
 
 func TestEnumerateCollectsAllSolutions(t *testing.T) {
-	m, vars := enumModel2x2()
-	res, err := Enumerate(context.Background(), m, EnumOptions{Project: vars})
+	res, err := Enumerate(context.Background(), enumModel2x2(), EnumOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,24 +34,42 @@ func TestEnumerateCollectsAllSolutions(t *testing.T) {
 	}
 }
 
+// TestEnumerateBranchOrder: listed variables branch first and the rest
+// follow in declaration order, so the discovery order is lexicographic
+// over the branch order; a variable the model lacks panics.
+func TestEnumerateBranchOrder(t *testing.T) {
+	m := enumModel2x2()
+	res, err := Enumerate(context.Background(), m, EnumOptions{BranchOrder: []Var{1}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]int64{{0, 0}, {1, 0}, {0, 1}}; !res.Complete || !reflect.DeepEqual(res.Solutions, want) {
+		t.Fatalf("solutions = %+v, want %v", res, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("unknown branch variable did not panic")
+		}
+	}()
+	NewEnumerator(m, EnumOptions{BranchOrder: []Var{2}})
+}
+
 func TestEnumerateDeterministicOrder(t *testing.T) {
-	build := func() (*Model, []Var) {
+	build := func() *Model {
 		m := NewModel()
 		a := m.NewVar("a", 0, 2)
 		b := m.NewVar("b", 0, 2)
 		c := m.NewVar("c", 0, 2)
-		m.AddGE("spread", []Term{T(1, b), T(-1, a)}, 1)
-		m.AddLE("cap", []Term{T(1, a), T(1, b), T(1, c)}, 4)
-		return m, []Var{a, b, c}
+		m.AddRange("spread", []Term{T(1, b), T(-1, a)}, 1, PosInf)
+		m.AddRange("cap", []Term{T(1, a), T(1, b), T(1, c)}, NegInf, 4)
+		return m
 	}
-	m1, v1 := build()
-	first, err := Enumerate(context.Background(), m1, EnumOptions{Project: v1})
+	first, err := Enumerate(context.Background(), build(), EnumOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		m2, v2 := build()
-		again, err := Enumerate(context.Background(), m2, EnumOptions{Project: v2})
+		again, err := Enumerate(context.Background(), build(), EnumOptions{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,8 +83,7 @@ func TestEnumerateDeterministicOrder(t *testing.T) {
 }
 
 func TestEnumerateCapOverflow(t *testing.T) {
-	m, vars := enumModel2x2()
-	res, err := Enumerate(context.Background(), m, EnumOptions{Project: vars, Cap: 2})
+	res, err := Enumerate(context.Background(), enumModel2x2(), EnumOptions{Cap: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +94,7 @@ func TestEnumerateCapOverflow(t *testing.T) {
 		t.Fatalf("got %d solutions, want exactly Cap=2", len(res.Solutions))
 	}
 	// A cap equal to the solution count is not an overflow.
-	m2, vars2 := enumModel2x2()
-	res, err = Enumerate(context.Background(), m2, EnumOptions{Project: vars2, Cap: 3})
+	res, err = Enumerate(context.Background(), enumModel2x2(), EnumOptions{Cap: 3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +104,9 @@ func TestEnumerateCapOverflow(t *testing.T) {
 }
 
 func TestEnumerateAcceptFilter(t *testing.T) {
-	m, vars := enumModel2x2()
-	res, err := Enumerate(context.Background(), m, EnumOptions{
-		Project: vars,
-		Accept:  func(p []int64) bool { return p[0] != p[1] }, // drop {0,0}
-	})
+	res, err := Enumerate(context.Background(), enumModel2x2(), EnumOptions{
+		Accept: func(p []int64) bool { return p[0] != p[1] }, // drop {0,0}
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,32 +121,29 @@ func TestEnumeratePruneCutsSubtrees(t *testing.T) {
 	// prune on the prefix (reject as soon as both are fixed and equal, or
 	// the first is 0) must both shrink the node count and never lose a
 	// solution the leaf filter would keep.
-	build := func() (*Model, []Var) {
+	build := func() *Model {
 		m := NewModel()
-		a := m.NewVar("a", 0, 4)
-		b := m.NewVar("b", 0, 4)
-		return m, []Var{a, b}
+		m.NewVar("a", 0, 4)
+		m.NewVar("b", 0, 4)
+		return m
 	}
 	distinct := func(p []int64) bool { return p[0] != p[1] && p[0] != 0 }
-	m1, v1 := build()
-	plain, err := Enumerate(context.Background(), m1, EnumOptions{Project: v1, Accept: distinct})
+	plain, err := Enumerate(context.Background(), build(), EnumOptions{Accept: distinct}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, v2 := build()
-	pruned, err := Enumerate(context.Background(), m2, EnumOptions{
-		Project: v2,
-		Accept:  distinct,
-		Prune: func(vals []int64, fixed []bool) bool {
-			if fixed[0] && vals[0] == 0 {
+	pruned, err := Enumerate(context.Background(), build(), EnumOptions{
+		Accept: distinct,
+		Prune: func(lo, hi []int64) bool {
+			if lo[0] == hi[0] && lo[0] == 0 {
 				return false
 			}
-			if fixed[0] && fixed[1] && vals[0] == vals[1] {
+			if lo[0] == hi[0] && lo[1] == hi[1] && lo[0] == lo[1] {
 				return false
 			}
 			return true
 		},
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,63 +155,11 @@ func TestEnumeratePruneCutsSubtrees(t *testing.T) {
 	}
 }
 
-func TestEnumerateProjectionDedup(t *testing.T) {
-	// x projected, y free: the three feasible points collapse to the two
-	// distinct x values, each with at least one completion.
-	m, vars := enumModel2x2()
-	res, err := Enumerate(context.Background(), m, EnumOptions{Project: vars[:1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]int64{{0}, {1}}
-	if !res.Complete || !reflect.DeepEqual(res.Solutions, want) {
-		t.Fatalf("solutions = %+v, want %v", res, want)
-	}
-}
-
-func TestEnumerateCompletionPrunesInfeasibleProjection(t *testing.T) {
-	// b0+b1 = x with binaries b0,b1 completing the projection: x=2 needs
-	// both binaries set, x=3 admits no completion once the pairwise
-	// exclusion row is added — the projection must be dropped even though
-	// x's own bounds allow it.
-	m := NewModel()
-	x := m.NewVar("x", 0, 3)
-	b0 := m.NewBinary("b0")
-	b1 := m.NewBinary("b1")
-	m.AddEq("link", []Term{T(1, b0), T(1, b1), T(-1, x)}, 0)
-	res, err := Enumerate(context.Background(), m, EnumOptions{Project: []Var{x}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]int64{{0}, {1}, {2}}
-	if !res.Complete || !reflect.DeepEqual(res.Solutions, want) {
-		t.Fatalf("solutions = %+v, want %v", res, want)
-	}
-
-	// Here propagation cannot see it: with y=1, three pairwise-exclusive
-	// binaries must sum to 2, which every interval still allows, so only
-	// branching over the binaries rules y=1 out.
-	m = NewModel()
-	y := m.NewBinary("y")
-	bs := []Var{m.NewBinary("a"), m.NewBinary("b"), m.NewBinary("c")}
-	for i := range bs {
-		m.AddLE("excl", []Term{T(1, bs[i]), T(1, bs[(i+1)%3])}, 1)
-	}
-	m.AddGE("need", []Term{T(1, bs[0]), T(1, bs[1]), T(1, bs[2]), T(-2, y)}, 0)
-	res, err = Enumerate(context.Background(), m, EnumOptions{Project: []Var{y}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := [][]int64{{0}}; !res.Complete || !reflect.DeepEqual(res.Solutions, want) {
-		t.Fatalf("solutions = %+v, want %v", res, want)
-	}
-}
-
 func TestEnumerateInfeasibleModel(t *testing.T) {
 	m := NewModel()
 	x := m.NewVar("x", 0, 1)
-	m.AddGE("impossible", []Term{T(1, x)}, 5)
-	res, err := Enumerate(context.Background(), m, EnumOptions{Project: []Var{x}})
+	m.AddRange("impossible", []Term{T(1, x)}, 5, PosInf)
+	res, err := Enumerate(context.Background(), m, EnumOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,21 +168,12 @@ func TestEnumerateInfeasibleModel(t *testing.T) {
 	}
 }
 
-func TestEnumerateEmptyProjection(t *testing.T) {
-	m, _ := enumModel2x2()
-	_, err := Enumerate(context.Background(), m, EnumOptions{})
-	if err == nil || cmerr.ClassOf(err) != cmerr.Permanent {
-		t.Fatalf("empty projection should be a Permanent error, got %v", err)
-	}
-}
-
 func TestEnumerateNodeBudget(t *testing.T) {
 	m := NewModel()
-	var vars []Var
 	for i := 0; i < 6; i++ {
-		vars = append(vars, m.NewVar("v", 0, 9))
+		m.NewVar("v", 0, 9)
 	}
-	res, err := Enumerate(context.Background(), m, EnumOptions{Project: vars, MaxNodes: 50})
+	res, err := Enumerate(context.Background(), m, EnumOptions{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,15 +194,14 @@ func TestEnumerateCancellation(t *testing.T) {
 	// 10^8 leaves, every one rejected: no deadline here lets the walk
 	// finish, and no solution accumulates while it runs.
 	m := NewModel()
-	var vars []Var
 	for i := 0; i < 8; i++ {
-		vars = append(vars, m.NewVar("v", 0, 9))
+		m.NewVar("v", 0, 9)
 	}
-	opts := EnumOptions{Project: vars, MaxNodes: 1 << 30, Accept: func([]int64) bool { return false }}
+	opts := EnumOptions{Accept: func([]int64) bool { return false }}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Enumerate(ctx, m, opts)
+	res, err := Enumerate(ctx, m, opts, 1<<30)
 	if !errors.Is(err, ErrInterrupted) || !cmerr.IsInterrupted(err) {
 		t.Fatalf("want ErrInterrupted classified Interrupted, got %v", err)
 	}
@@ -265,7 +213,7 @@ func TestEnumerateCancellation(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 		start := time.Now()
-		res, err := Enumerate(ctx, m, opts)
+		res, err := Enumerate(ctx, m, opts, 1<<30)
 		elapsed := time.Since(start)
 		cancel()
 		if !errors.Is(err, ErrInterrupted) || res.Complete {
@@ -297,16 +245,12 @@ func TestEnumerateCancellation(t *testing.T) {
 func TestEnumeratorResumesUnderAppendedRows(t *testing.T) {
 	// a, b ∈ [0,3] with a cap of 3. Each stage appends a row and resumes;
 	// the answer must match a fresh enumeration of the same rows, and the
-	// projection that overran the cap in one Run must still count in the
+	// assignment that overran the cap in one Run must still count in the
 	// next.
 	m := NewModel()
 	a := m.NewVar("a", 0, 3)
 	b := m.NewVar("b", 0, 3)
-	vars := []Var{a, b}
-	e, err := NewEnumerator(m, EnumOptions{Project: vars, Cap: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewEnumerator(m, EnumOptions{Cap: 3})
 	fresh := NewModel()
 	fresh.NewVar("a", 0, 3)
 	fresh.NewVar("b", 0, 3)
@@ -316,8 +260,8 @@ func TestEnumeratorResumesUnderAppendedRows(t *testing.T) {
 		complete bool
 	}{
 		{func(*Model) {}, [][]int64{{0, 0}, {0, 1}, {0, 2}}, false},
-		{func(m *Model) { m.AddGE("a", []Term{T(1, a)}, 1) }, [][]int64{{1, 0}, {1, 1}, {1, 2}}, false},
-		{func(m *Model) { m.AddGE("b", []Term{T(1, b)}, 3) }, [][]int64{{1, 3}, {2, 3}, {3, 3}}, true},
+		{func(m *Model) { m.AddRange("a", []Term{T(1, a)}, 1, PosInf) }, [][]int64{{1, 0}, {1, 1}, {1, 2}}, false},
+		{func(m *Model) { m.AddRange("b", []Term{T(1, b)}, 3, PosInf) }, [][]int64{{1, 3}, {2, 3}, {3, 3}}, true},
 	} {
 		stage.row(m)
 		stage.row(fresh)
@@ -329,7 +273,7 @@ func TestEnumeratorResumesUnderAppendedRows(t *testing.T) {
 			t.Fatalf("stage %d: got %v (complete=%v), want %v (complete=%v)",
 				i, res.Solutions, res.Complete, stage.want, stage.complete)
 		}
-		ref, err := Enumerate(context.Background(), fresh, EnumOptions{Project: vars, Cap: 3})
+		ref, err := Enumerate(context.Background(), fresh, EnumOptions{Cap: 3}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,25 +286,20 @@ func TestEnumeratorResumesUnderAppendedRows(t *testing.T) {
 func TestEnumeratorBudgetIsPerRun(t *testing.T) {
 	// Runs of 7 nodes each must add up to the one-shot enumeration: the
 	// same solutions, and the same total node count.
-	build := func() (*Model, []Var) {
+	build := func() *Model {
 		m := NewModel()
 		var vars []Var
 		for i := 0; i < 3; i++ {
 			vars = append(vars, m.NewVar("v", 0, 2))
 		}
-		m.AddLE("sum", []Term{T(1, vars[0]), T(1, vars[1]), T(1, vars[2])}, 3)
-		return m, vars
+		m.AddRange("sum", []Term{T(1, vars[0]), T(1, vars[1]), T(1, vars[2])}, NegInf, 3)
+		return m
 	}
-	m1, v1 := build()
-	whole, err := Enumerate(context.Background(), m1, EnumOptions{Project: v1})
+	whole, err := Enumerate(context.Background(), build(), EnumOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, v2 := build()
-	e, err := NewEnumerator(m2, EnumOptions{Project: v2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := NewEnumerator(build(), EnumOptions{})
 	nodes := 0
 	for runs := 1; ; runs++ {
 		res, err := e.Run(context.Background(), 7)
@@ -385,11 +324,8 @@ func TestEnumeratorBudgetIsPerRun(t *testing.T) {
 }
 
 func TestEnumeratorRejectsNewVariables(t *testing.T) {
-	m, vars := enumModel2x2()
-	e, err := NewEnumerator(m, EnumOptions{Project: vars})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := enumModel2x2()
+	e := NewEnumerator(m, EnumOptions{})
 	m.NewVar("z", 0, 1)
 	if _, err := e.Run(context.Background(), 0); err == nil || cmerr.ClassOf(err) != cmerr.Permanent {
 		t.Fatalf("a variable added between runs should be a Permanent error, got %v", err)

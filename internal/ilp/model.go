@@ -3,13 +3,12 @@
 //
 // It exists for the paper's core-map reconstruction problem: the
 // placements that satisfy the observations' tile-position constraints
-// are the feasible set projected onto the position variables, and the
-// reconstruction picks the tightest-packed member of that set. The
-// interface is generic: build a Model of bounded integer variables and
-// linear constraints, and Enumerate walks a depth-first
-// propagate-and-branch tree (fixpoint bounds propagation at every node)
-// to collect every distinct feasible projection, or an Enumerator
-// resumes that walk as rows are appended.
+// are the feasible assignments of route.Space's row/column variables,
+// and the reconstruction picks the tightest-packed of them. Build a
+// Model of bounded integer variables and linear range rows, and
+// Enumerate walks a depth-first propagate-and-branch tree (fixpoint
+// bounds propagation at every node) to collect every feasible
+// assignment, or an Enumerator resumes that walk as rows are appended.
 package ilp
 
 import (
@@ -77,12 +76,6 @@ func (m *Model) NewVar(name string, lo, hi int64) Var {
 	return Var(len(m.lo) - 1)
 }
 
-// NewBinary declares a 0/1 variable.
-func (m *Model) NewBinary(name string) Var { return m.NewVar(name, 0, 1) }
-
-// Name returns the name a variable was declared with.
-func (m *Model) Name(v Var) string { return m.names[v] }
-
 func (m *Model) checkTerms(terms []Term) {
 	for _, t := range terms {
 		if int(t.Var) < 0 || int(t.Var) >= len(m.lo) {
@@ -91,60 +84,30 @@ func (m *Model) checkTerms(terms []Term) {
 	}
 }
 
-// AddRange adds lo ≤ Σ terms ≤ hi. The label is used in error reporting.
-// The terms slice is copied into the model; callers may reuse (or
-// stack-allocate) it.
+// AddRange adds lo ≤ Σ terms ≤ hi; NegInf and PosInf leave a side open.
+// The label is used in error reporting. The terms slice is copied into
+// the model; callers may reuse (or stack-allocate) it.
 func (m *Model) AddRange(label string, terms []Term, lo, hi int64) {
 	m.checkTerms(terms)
 	m.cons = append(m.cons, constraint{terms: m.dedupeTerms(terms), lo: lo, hi: hi, label: label})
 }
-
-// AddLE adds Σ terms ≤ rhs.
-func (m *Model) AddLE(label string, terms []Term, rhs int64) {
-	m.AddRange(label, terms, NegInf, rhs)
-}
-
-// AddGE adds Σ terms ≥ rhs.
-func (m *Model) AddGE(label string, terms []Term, rhs int64) {
-	m.AddRange(label, terms, rhs, PosInf)
-}
-
-// AddEq adds Σ terms = rhs.
-func (m *Model) AddEq(label string, terms []Term, rhs int64) {
-	m.AddRange(label, terms, rhs, rhs)
-}
-
-// smallTerms bounds the row width below which dedupeTerms uses a
-// quadratic scan instead of a map; constraint rows in this codebase are
-// rarely more than a handful of terms wide.
-const smallTerms = 32
 
 // dedupeTerms merges duplicate variables and drops zero coefficients, so
 // propagation can assume each variable appears once per constraint. The
 // result lives in the model's term slab; the input is never retained.
 func (m *Model) dedupeTerms(terms []Term) []Term {
 	out := m.termSlab.Alloc(len(terms))
-	if len(terms) <= smallTerms {
-	merge:
-		for _, t := range terms {
-			for i := range out {
-				if out[i].Var == t.Var {
-					out[i].Coef += t.Coef
-					continue merge
-				}
-			}
-			out = append(out, t)
-		}
-	} else {
-		seen := make(map[Var]int, len(terms))
-		for _, t := range terms {
-			if i, ok := seen[t.Var]; ok {
+	// Rows are a few terms wide (route rows have at most two), so a
+	// quadratic scan merges them.
+merge:
+	for _, t := range terms {
+		for i := range out {
+			if out[i].Var == t.Var {
 				out[i].Coef += t.Coef
-				continue
+				continue merge
 			}
-			seen[t.Var] = len(out)
-			out = append(out, t)
 		}
+		out = append(out, t)
 	}
 	kept := out[:0]
 	for _, t := range out {

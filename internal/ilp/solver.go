@@ -1,6 +1,10 @@
 package ilp
 
-import "coremap/internal/cmerr"
+import (
+	"fmt"
+
+	"coremap/internal/cmerr"
+)
 
 // ErrInterrupted reports that the context was cancelled mid-search of
 // Enumerate or Enumerator.Run. The solutions found so far come back
@@ -12,15 +16,17 @@ var ErrInterrupted = cmerr.Sentinel(cmerr.Interrupted, "ilp: interrupted")
 const DefaultMaxNodes = 2_000_000
 
 // solver is the search context of an Enumerator: the model, its
-// constraint/occurrence indexes and the branching priorities. Mutable
-// search state (frontier, node budget) lives in the Enumerator.
+// constraint/occurrence indexes and the branch order. Mutable search
+// state (frontier, node budget) lives in the Enumerator.
 type solver struct {
-	m    *Model
-	cons []constraint
-	occ  [][]int32 // var → indices of constraints containing it
-	rank []int32   // var → branch priority (lower first)
+	m     *Model
+	cons  []constraint
+	occ   [][]int32 // var → indices of constraints containing it
+	order []Var     // every variable once, in branching priority
 }
 
+// build indexes the model's rows and sets the branch order: the listed
+// variables first, then the unlisted ones in declaration order.
 func (s *solver) build(order []Var) {
 	s.cons = append([]constraint(nil), s.m.cons...)
 	// The occurrence index is carved from one flat backing array (two
@@ -48,12 +54,21 @@ func (s *solver) build(order []Var) {
 			s.occ[t.Var] = append(s.occ[t.Var], int32(ci))
 		}
 	}
-	s.rank = make([]int32, len(s.m.lo))
-	for i := range s.rank {
-		s.rank[i] = int32(len(order)) // unlisted vars after listed ones
+	listed := make([]bool, nvars)
+	s.order = make([]Var, 0, nvars)
+	for _, v := range order {
+		if int(v) < 0 || int(v) >= nvars {
+			panic(fmt.Sprintf("ilp: branch order references unknown variable %d", v))
+		}
+		if !listed[v] {
+			listed[v] = true
+			s.order = append(s.order, v)
+		}
 	}
-	for i, v := range order {
-		s.rank[v] = int32(i)
+	for v, ok := range listed {
+		if !ok {
+			s.order = append(s.order, Var(v))
+		}
 	}
 }
 
@@ -206,27 +221,43 @@ func boundsNegCoef(c, ubRhs, lbRhs int64) (lo, hi int64) {
 	return ceilDiv(ubRhs, c), floorDiv(lbRhs, c)
 }
 
-// pickVar selects the next branching variable: lowest rank first, then
-// smallest current domain. Returns -1 when every variable is fixed.
-func (s *solver) pickVar(lo, hi []int64) int {
-	best := -1
-	var bestRank int32
-	var bestSpan int64
-	for v := range lo {
-		span := hi[v] - lo[v]
-		if span == 0 {
-			continue
-		}
-		if best == -1 || s.rank[v] < bestRank || (s.rank[v] == bestRank && span < bestSpan) {
-			best, bestRank, bestSpan = v, s.rank[v], span
+// pickVar selects the next branching variable: the first in the branch
+// order whose domain is not a single value. Returns -1 when every
+// variable is fixed.
+func (s *solver) pickVar(lo, hi []int64) Var {
+	for _, v := range s.order {
+		if lo[v] != hi[v] {
+			return v
 		}
 	}
-	return best
+	return -1
+}
+
+// holds reports whether the assignment vals satisfies every row from
+// since on.
+func (s *solver) holds(vals []int64, since int) bool {
+	for i := since; i < len(s.cons); i++ {
+		c := &s.cons[i]
+		if sum := c.eval(vals); sum < c.lo || sum > c.hi {
+			return false
+		}
+	}
+	return true
+}
+
+// eval returns Σ terms at the assignment vals.
+func (c *constraint) eval(vals []int64) int64 {
+	var sum int64
+	for _, t := range c.terms {
+		sum += t.Coef * vals[t.Var]
+	}
+	return sum
 }
 
 // CheckFeasible verifies that the given assignment satisfies every
 // constraint of the model, returning a descriptive error for the first
-// violation. It is used by tests and by locate's sanity checks.
+// violation. The tests use it to check enumerated assignments
+// independently of the search.
 func CheckFeasible(m *Model, vals []int64) error {
 	if len(vals) != len(m.lo) {
 		return cmerr.New(cmerr.Permanent, "ilp", "assignment has %d values, model has %d variables", len(vals), len(m.lo))
@@ -237,11 +268,7 @@ func CheckFeasible(m *Model, vals []int64) error {
 		}
 	}
 	for _, c := range m.cons {
-		var sum int64
-		for _, t := range c.terms {
-			sum += t.Coef * vals[t.Var]
-		}
-		if sum < c.lo || sum > c.hi {
+		if sum := c.eval(vals); sum < c.lo || sum > c.hi {
 			return cmerr.New(cmerr.Permanent, "ilp", "constraint %q violated: %d ∉ [%d,%d]", c.label, sum, c.lo, c.hi)
 		}
 	}

@@ -185,9 +185,7 @@ func enumerate(ctx context.Context, in Input, opts Options) (*Map, error) {
 		space.Add(o)
 	}
 	obs.RegistryFrom(ctx).Counter("locate/constraints/built").Add(int64(space.Model().NumConstraints()))
-	eo := space.EnumOptions(0)
-	eo.MaxNodes = enumBudget
-	res, err := ilp.Enumerate(ctx, space.Model(), eo)
+	res, err := ilp.Enumerate(ctx, space.Model(), space.EnumOptions(0), enumBudget)
 	switch {
 	case err != nil && cmerr.IsInterrupted(err):
 		return nil, fmt.Errorf("%w: %w", ErrInterrupted, err)
@@ -200,8 +198,8 @@ func enumerate(ctx context.Context, in Input, opts Options) (*Map, error) {
 		return nil, ErrUnsatisfiable
 	}
 	survivors := make([][]mesh.Coord, len(res.Solutions))
-	for i, proj := range res.Solutions {
-		survivors[i] = space.Placement(proj)
+	for i, vals := range res.Solutions {
+		survivors[i] = space.Placement(vals)
 	}
 	mp := pick(in, survivors)
 	mp.Nodes = res.Nodes

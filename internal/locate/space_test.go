@@ -82,13 +82,13 @@ func TestSpaceMatchesFeasiblePlacements(t *testing.T) {
 			for _, o := range in.Observations {
 				space.Add(o)
 			}
-			res, err := ilp.Enumerate(context.Background(), space.Model(), space.EnumOptions(0))
+			res, err := ilp.Enumerate(context.Background(), space.Model(), space.EnumOptions(0), 0)
 			if err != nil || !res.Complete {
 				t.Fatalf("trial %d: enumeration err=%v complete=%v", trial, err, res != nil && res.Complete)
 			}
 			got := make([][]mesh.Coord, len(res.Solutions))
-			for i, proj := range res.Solutions {
-				got[i] = space.Placement(proj)
+			for i, vals := range res.Solutions {
+				got[i] = space.Placement(vals)
 			}
 			want := feasiblePlacements(in, gap)
 			if g, w := placementSet(got), placementSet(want); strings.Join(g, "|") != strings.Join(w, "|") {

@@ -129,41 +129,30 @@ type Options struct {
 	// consistent, it keeps seeding broad measurements instead of
 	// enumerating. 0 selects DefaultAmbiguityCap.
 	AmbiguityCap int
-	// BatchSize is the number of experiments emitted per scored round
-	// (0 selects DefaultBatchSize). Seeding rounds ignore it.
-	BatchSize int
-	// MaxNodes caps the search nodes one materialization attempt may add
-	// to the survey's enumeration (0 selects DefaultMaxNodes): attempts
-	// resume one search, and each is allowed a budget that starts small
-	// and doubles up to MaxNodes. A budget hit postpones materialization
-	// to the next round; it never aborts the survey.
-	MaxNodes int
 	// PaperExactBounds must match the locate.Options.PaperExactBounds
 	// the reconstruction will use, so the planner's survivors are the
 	// reconstruction's feasible set exactly.
 	PaperExactBounds bool
 }
 
-// Defaults for the zero Options fields.
-const (
-	DefaultAmbiguityCap = 256
-	DefaultBatchSize    = 4
-	DefaultMaxNodes     = 1_000_000
-)
+// DefaultAmbiguityCap is the AmbiguityCap a zero Options field selects.
+const DefaultAmbiguityCap = 256
 
-// initialNodeBudget is the first materialization attempt's search-node
-// allowance; see Planner.nodeBudget.
-const initialNodeBudget = 10_000
+const (
+	// batchSize is the number of experiments emitted per scored round.
+	// Seeding rounds ignore it.
+	batchSize = 4
+	// initialNodeBudget and maxNodeBudget bound the search nodes one
+	// materialization attempt may add to the survey's enumeration; see
+	// Planner.nodeBudget. A budget hit postpones materialization to the
+	// next round; it never aborts the survey.
+	initialNodeBudget = 10_000
+	maxNodeBudget     = 1_000_000
+)
 
 func (o Options) withDefaults() Options {
 	if o.AmbiguityCap <= 0 {
 		o.AmbiguityCap = DefaultAmbiguityCap
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = DefaultBatchSize
-	}
-	if o.MaxNodes <= 0 {
-		o.MaxNodes = DefaultMaxNodes
 	}
 	return o
 }
@@ -232,7 +221,7 @@ type Planner struct {
 	predictions            int
 	// nodeBudget is the number of search nodes the next materialization
 	// attempt may add to the resumed enumeration. It starts small and
-	// doubles after every incomplete attempt (up to Options.MaxNodes),
+	// doubles after every incomplete attempt (up to maxNodeBudget),
 	// so the early attempts — when the few observations in hand still
 	// admit a vast placement space — cannot wander deep into a tree the
 	// next observations will cut, while later ones get room to finish.
@@ -440,16 +429,13 @@ func (pl *Planner) materialize(ctx context.Context) (err error) {
 	if pl.nodeBudget == 0 {
 		pl.nodeBudget = initialNodeBudget
 	}
-	if pl.nodeBudget > pl.opts.MaxNodes {
-		pl.nodeBudget = pl.opts.MaxNodes
+	if pl.nodeBudget > maxNodeBudget {
+		pl.nodeBudget = maxNodeBudget
 	}
 	span.SetAttr("observations", int64(len(pl.observations))).SetAttr("budget", int64(pl.nodeBudget))
 	pl.extendModel()
 	if pl.enum == nil {
-		pl.enum, err = ilp.NewEnumerator(pl.space.Model(), pl.space.EnumOptions(pl.opts.AmbiguityCap))
-		if err != nil {
-			return err
-		}
+		pl.enum = ilp.NewEnumerator(pl.space.Model(), pl.space.EnumOptions(pl.opts.AmbiguityCap))
 	}
 	res, err := pl.enum.Run(ctx, pl.nodeBudget)
 	if err != nil {
@@ -472,8 +458,8 @@ func (pl *Planner) materialize(ctx context.Context) (err error) {
 	}
 	pl.survivors = make([][]mesh.Coord, len(res.Solutions))
 	pl.tiles = make([][]byte, len(res.Solutions))
-	for i, proj := range res.Solutions {
-		pl.survivors[i] = pl.space.Placement(proj)
+	for i, vals := range res.Solutions {
+		pl.survivors[i] = pl.space.Placement(vals)
 		pl.tiles[i] = pl.tileIndex(pl.survivors[i])
 	}
 	return nil
@@ -541,7 +527,7 @@ func (pl *Planner) seedBatch(remaining []int) []int {
 		return star
 	}
 	// No pairs left: a chunk of whatever remains, in pool order.
-	n := 4 * pl.opts.BatchSize
+	n := 4 * batchSize
 	if n > len(remaining) {
 		n = len(remaining)
 	}
@@ -580,7 +566,7 @@ func (pl *Planner) scoreAndPick(remaining []int) []int {
 		}
 		return scored[i].idx < scored[j].idx
 	})
-	n := pl.opts.BatchSize
+	n := batchSize
 	if n > len(scored) {
 		n = len(scored)
 	}

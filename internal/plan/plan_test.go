@@ -63,16 +63,16 @@ func trueObs(pl *Planner, c Candidate, truth []mesh.Coord) route.Observation {
 	return o
 }
 
-// drive runs the planner against ground truth, answering every issued
-// experiment exactly, and returns the sequence of batches.
-func drive(t *testing.T, pl *Planner, truth []mesh.Coord) [][]int {
+// drive runs the planner under ctx against ground truth, answering
+// every issued experiment exactly, and returns the sequence of batches.
+func drive(ctx context.Context, t *testing.T, pl *Planner, truth []mesh.Coord) [][]int {
 	t.Helper()
 	var batches [][]int
 	for i := 0; ; i++ {
 		if i > 1000 {
 			t.Fatal("planner failed to terminate")
 		}
-		batch, err := pl.NextBatch(context.Background())
+		batch, err := pl.NextBatch(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestPlannerConvergesOnToyPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(t, pl, toyTruth)
+	drive(context.Background(), t, pl, toyTruth)
 	st := pl.Stats()
 	if !st.Converged || st.Fallback {
 		t.Fatalf("planner did not converge cleanly: %+v", st)
@@ -135,7 +135,7 @@ func TestPlannerDeterministicBatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batches := drive(t, pl, toyTruth)
+		batches := drive(context.Background(), t, pl, toyTruth)
 		return batches, pl.Stats()
 	}
 	b1, s1 := run()
@@ -249,7 +249,7 @@ func TestPlannerConvergesWithPairsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	drive(t, pl, toyTruth)
+	drive(context.Background(), t, pl, toyTruth)
 	st := pl.Stats()
 	if !st.Converged || st.Fallback {
 		t.Fatalf("pairs-only survey did not converge: %+v", st)

@@ -13,6 +13,7 @@ import (
 	"coremap/internal/ilp"
 	"coremap/internal/machine"
 	"coremap/internal/mesh"
+	"coremap/internal/obs"
 	"coremap/internal/route"
 )
 
@@ -71,9 +72,11 @@ func scheduleDigest(batches [][]int) string {
 
 // TestPlannerScheduleUnchanged pins the planner's measurement schedule —
 // which experiments it issues, in which rounds — on a seeded 8259CL and
-// 6354 survey. Enumeration work is free to get cheaper; what the
-// planner measures is not, so any change to how survivors are computed
-// must leave these values alone.
+// 6354 survey, and the search tree behind it: the total enumeration
+// nodes (ilp/enum_nodes) over the survey's materialization attempts.
+// What the planner measures must not move when survivors are computed
+// differently; a change that reshapes the search tree must update the
+// node counts deliberately.
 func TestPlannerScheduleUnchanged(t *testing.T) {
 	for _, tc := range []struct {
 		sku              *machine.SKU
@@ -81,10 +84,11 @@ func TestPlannerScheduleUnchanged(t *testing.T) {
 		seed             int64
 		digest           string
 		rounds, measured int
+		enumNodes        int64
 	}{
-		{machine.SKU8259CL, 1, 1, "49ae382b697d29b8c3da90b0674ec051c39fb01908fb43e8ea3fcdcbae701740", 4, 58},
-		{machine.SKU6354, 0, 1, "e1fa76bc7d147ced654f4b907231958b4ea84ff142b2d7a4728352dbe2eeb86e", 14, 254},
-		{machine.SKU6354, 1, 2, "d7d2710aa927e78dbca6d9416c7d160effbbbedf4ac918fefed065fcc137c81d", 5, 128},
+		{machine.SKU8259CL, 1, 1, "49ae382b697d29b8c3da90b0674ec051c39fb01908fb43e8ea3fcdcbae701740", 4, 58, 4747},
+		{machine.SKU6354, 0, 1, "e1fa76bc7d147ced654f4b907231958b4ea84ff142b2d7a4728352dbe2eeb86e", 14, 254, 44759},
+		{machine.SKU6354, 1, 2, "d7d2710aa927e78dbca6d9416c7d160effbbbedf4ac918fefed065fcc137c81d", 5, 128, 28056},
 	} {
 		t.Run(fmt.Sprintf("%s/pattern%d", tc.sku.Name, tc.pattern), func(t *testing.T) {
 			opts, numCHA, cands, truth := surveyInstance(tc.sku, tc.pattern, tc.seed)
@@ -92,13 +96,19 @@ func TestPlannerScheduleUnchanged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batches := drive(t, pl, truth)
+			tel := obs.New(obs.Config{})
+			batches := drive(obs.With(context.Background(), tel), t, pl, truth)
 			st := pl.Stats()
 			got := scheduleDigest(batches)
-			t.Logf("digest %s rounds %d measured %d enumerations %d", got, st.Rounds, st.Measured, st.Enumerations)
+			nodes := tel.Registry().Counter("ilp/enum_nodes").Value()
+			t.Logf("digest %s rounds %d measured %d enumerations %d enum nodes %d",
+				got, st.Rounds, st.Measured, st.Enumerations, nodes)
 			if got != tc.digest || st.Rounds != tc.rounds || st.Measured != tc.measured {
 				t.Errorf("schedule moved: digest %s rounds %d measured %d, want %s rounds %d measured %d",
 					got, st.Rounds, st.Measured, tc.digest, tc.rounds, tc.measured)
+			}
+			if nodes != tc.enumNodes {
+				t.Errorf("search tree moved: %d enumeration nodes, want %d", nodes, tc.enumNodes)
 			}
 			if !st.Converged || st.Fallback {
 				t.Errorf("survey did not converge cleanly: %+v", st)
@@ -125,8 +135,8 @@ func TestPlannerModelDedupesRows(t *testing.T) {
 		pl.extendModel()
 
 		// The reference model declares the space's variables in the same
-		// order (r0, c0, r1, c1, …: the projection) and renders every
-		// clause of every observation, duplicates included.
+		// order (r0, c0, r1, c1, …) and renders every clause of every
+		// observation, duplicates included.
 		eo := pl.space.EnumOptions(DefaultAmbiguityCap)
 		raw := ilp.NewModel()
 		r, c := make([]ilp.Var, numCHA), make([]ilp.Var, numCHA)
@@ -134,10 +144,17 @@ func TestPlannerModelDedupesRows(t *testing.T) {
 			r[k] = raw.NewVar("r", 0, int64(opts.Rows-1))
 			c[k] = raw.NewVar("c", 0, int64(opts.Cols-1))
 		}
-		for i, v := range eo.Project {
-			if v != ilp.Var(i) || pl.space.Model().NumVars() != raw.NumVars() {
-				t.Fatalf("space projection %v over %d variables; the reference assumes r0, c0, r1, c1, … over %d",
-					eo.Project, pl.space.Model().NumVars(), raw.NumVars())
+		if got := pl.space.Model().NumVars(); got != raw.NumVars() {
+			t.Fatalf("space declares %d variables, the reference %d", got, raw.NumVars())
+		}
+		ids := make([]int64, raw.NumVars())
+		for i := range ids {
+			ids[i] = int64(i)
+		}
+		for k, at := range pl.space.Placement(ids) {
+			if at != (mesh.Coord{Row: int(r[k]), Col: int(c[k])}) {
+				t.Fatalf("space decodes CHA %d from variables %v; the reference declares r%d, c%d as %d, %d",
+					k, at, k, k, r[k], c[k])
 			}
 		}
 		distinct := map[string]bool{}
@@ -162,7 +179,7 @@ func TestPlannerModelDedupesRows(t *testing.T) {
 		}
 
 		enum := func(m *ilp.Model) *ilp.EnumResult {
-			res, err := ilp.Enumerate(context.Background(), m, eo)
+			res, err := ilp.Enumerate(context.Background(), m, eo, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +238,7 @@ func referenceBatch(pl *Planner, remaining []int) []int {
 		return splits[i].idx < splits[j].idx
 	})
 	var batch []int
-	for i := 0; i < len(splits) && i < pl.opts.BatchSize; i++ {
+	for i := 0; i < len(splits) && i < batchSize; i++ {
 		batch = append(batch, splits[i].idx)
 	}
 	return batch

@@ -129,8 +129,7 @@ func (p *Prober) optionsKey(buf []byte) []byte {
 			buf = binary.AppendVarint(buf, int64(c.Col))
 		}
 		for _, v := range []int64{
-			int64(pc.AmbiguityCap), int64(pc.BatchSize), int64(pc.MaxNodes),
-			b2i(pc.PaperExactBounds),
+			int64(pc.AmbiguityCap), b2i(pc.PaperExactBounds),
 		} {
 			buf = binary.AppendVarint(buf, v)
 		}

@@ -8,11 +8,11 @@ package route
 // and picks the objective-minimal member).
 //
 // The model holds only the 2n row/column position variables and the
-// linear clauses as rows: enumeration asks "which placements are
-// possible", and auxiliary binaries (direction nullifiers, one-hot
-// channeling, occupancy indicators) would multiply every placement by
-// its binary completions. The two non-linear conditions — all-distinct
-// tile occupancy and the horizontal direction disjunction — go into the
+// linear clauses as rows, so each feasible assignment is one placement:
+// auxiliary binaries (direction nullifiers, one-hot channeling,
+// occupancy indicators) would multiply every placement by its binary
+// completions. The two non-linear conditions — all-distinct tile
+// occupancy and the horizontal direction disjunction — go into the
 // enumerator's Accept/Prune hooks instead, where they are cheap to test
 // on concrete coordinates.
 //
@@ -57,12 +57,12 @@ type Space struct {
 	// already satisfied.
 	m    *ilp.Model
 	seen map[rowKey]struct{}
-	// r and c are CHA k's row and column variables. The projection is
-	// r0, c0, r1, c1, … (decode with Placement); the branch order c0,
-	// r0, c1, r1, … puts columns first. Both fix the search tree, and
-	// with it the planner's schedule and node counts.
-	r, c            []ilp.Var
-	project, branch []ilp.Var
+	// r and c are CHA k's row and column variables, declared r0, c0,
+	// r1, c1, … (decode with Placement); the branch order c0, r0, c1,
+	// r1, … puts columns first. Both fix the search tree, and with it
+	// the planner's schedule and node counts.
+	r, c   []ilp.Var
+	branch []ilp.Var
 	// horz holds the added observations with horizontal observers, whose
 	// disjunctions the Accept/Prune hooks evaluate.
 	horz []Observation
@@ -97,9 +97,6 @@ func NewSpace(numCHA, rows, cols int, imc []mesh.Coord, srcGap int) *Space {
 	for k := 0; k < numCHA; k++ {
 		s.r[k] = s.m.NewVar("r", 0, int64(rows-1))
 		s.c[k] = s.m.NewVar("c", 0, int64(cols-1))
-		s.project = append(s.project, s.r[k], s.c[k])
-	}
-	for k := 0; k < numCHA; k++ {
 		s.branch = append(s.branch, s.c[k], s.r[k])
 	}
 	return s
@@ -136,15 +133,13 @@ func (s *Space) Add(o Observation) {
 // distinct rows added so far. Callers may enumerate it, never modify it.
 func (s *Space) Model() *ilp.Model { return s.m }
 
-// EnumOptions returns the enumeration of the space: the placement
-// projection, the column-first branch order and the all-distinct and
-// disjunction hooks, with at most capN placements collected (0 for no
-// cap). The hooks read the space's observations as they stand when
-// called, and Add only makes them stricter, as a resumable
-// ilp.Enumerator requires.
+// EnumOptions returns the enumeration of the space: the column-first
+// branch order and the all-distinct and disjunction hooks, with at most
+// capN placements collected (0 for no cap). The hooks read the space's
+// observations as they stand when called, and Add only makes them
+// stricter, as a resumable ilp.Enumerator requires.
 func (s *Space) EnumOptions(capN int) ilp.EnumOptions {
 	return ilp.EnumOptions{
-		Project:     s.project,
 		BranchOrder: s.branch,
 		Cap:         capN,
 		Accept:      s.accept,
@@ -152,29 +147,29 @@ func (s *Space) EnumOptions(capN int) ilp.EnumOptions {
 	}
 }
 
-// Placement decodes an enumerated projection into CHA → coordinate.
-func (s *Space) Placement(proj []int64) []mesh.Coord {
+// Placement decodes an enumerated assignment into CHA → coordinate.
+func (s *Space) Placement(vals []int64) []mesh.Coord {
 	p := make([]mesh.Coord, s.numCHA)
 	for k := range p {
-		p[k] = coordAt(proj, k)
+		p[k] = coordAt(vals, k)
 	}
 	return p
 }
 
-// coordAt decodes CHA k from an enumeration projection.
-func coordAt(proj []int64, k int) mesh.Coord {
-	return mesh.Coord{Row: int(proj[2*k]), Col: int(proj[2*k+1])}
+// coordAt decodes CHA k from an assignment of the space's variables.
+func coordAt(vals []int64, k int) mesh.Coord {
+	return mesh.Coord{Row: int(vals[2*k]), Col: int(vals[2*k+1])}
 }
 
-// accept is the leaf filter: given a fully fixed projection, enforce
+// accept is the leaf filter: given a full assignment, enforce
 // the conditions the model omits — every CHA on its own tile, and every
 // observation's horizontal observers reachable in a single direction of
 // travel. CHAs may share a tile with a memory controller; all-distinct
 // is CHA-vs-CHA only.
-func (s *Space) accept(proj []int64) bool {
+func (s *Space) accept(vals []int64) bool {
 	coords := s.coords
 	for k := 0; k < s.numCHA; k++ {
-		coords[k] = coordAt(proj, k)
+		coords[k] = coordAt(vals, k)
 	}
 	s.cellEpoch++
 	for k := 0; k < s.numCHA; k++ {
@@ -193,23 +188,23 @@ func (s *Space) accept(proj []int64) bool {
 }
 
 // prune is the subtree filter, called at every search node with the
-// partially fixed projection. It applies the same two conditions as
-// accept, restricted to what is already decided — two fully placed CHAs
-// on the same tile, or a horizontal disjunction whose participants are
-// all placed and satisfiable in neither direction — so conflicting
-// subtrees are cut long before a full placement is assembled. Both tests
-// are monotone in the fixed set, as Prune's contract requires, and in
-// the observation set: Add only adds disjunctions, so a subtree cut once
-// stays cut.
-func (s *Space) prune(vals []int64, fixed []bool) bool {
+// current variable bounds; a CHA is placed once both of its variables
+// are fixed. It applies the same two conditions as accept, restricted to
+// what is already decided — two placed CHAs on the same tile, or a
+// horizontal disjunction whose participants are all placed and
+// satisfiable in neither direction — so conflicting subtrees are cut
+// long before a full placement is assembled. Both tests are monotone in
+// the fixed set, as Prune's contract requires, and in the observation
+// set: Add only adds disjunctions, so a subtree cut once stays cut.
+func (s *Space) prune(lo, hi []int64) bool {
 	coords, placed := s.coords, s.placed
 	s.cellEpoch++
 	for k := 0; k < s.numCHA; k++ {
-		placed[k] = fixed[2*k] && fixed[2*k+1]
+		placed[k] = lo[2*k] == hi[2*k] && lo[2*k+1] == hi[2*k+1]
 		if !placed[k] {
 			continue
 		}
-		coords[k] = coordAt(vals, k)
+		coords[k] = coordAt(lo, k)
 		cell := coords[k].Row*s.cols + coords[k].Col
 		if s.cellMark[cell] == s.cellEpoch {
 			return false

@@ -147,14 +147,16 @@ func TestBoundsMismatchSolves(t *testing.T) {
 // is picked from an enumeration of the complete feasible set, so it says
 // whether the observations pin it down. Fusing pattern 0 of the 8124M
 // leaves five canonical placements; the anchored 8259CL map has one.
+// The enumeration's node counts pin its search tree.
 func TestNoPlanMapsReportAmbiguity(t *testing.T) {
 	for _, c := range []struct {
 		sku        *machine.SKU
 		anchors    bool
 		candidates int
+		nodes      int
 	}{
-		{machine.SKU8124M, false, 5},
-		{machine.SKU8259CL, true, 1},
+		{machine.SKU8124M, false, 5, 4191},
+		{machine.SKU8259CL, true, 1, 91},
 	} {
 		die := coremap.DieInfo{Rows: c.sku.Rows, Cols: c.sku.Cols, IMC: c.sku.IMC}
 		res, err := coremap.MapMachine(context.Background(), machine.Generate(c.sku, 0, machine.Config{Seed: 1}), die,
@@ -162,9 +164,9 @@ func TestNoPlanMapsReportAmbiguity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.sku.Name, err)
 		}
-		if res.Candidates != c.candidates || res.Ambiguous != (c.candidates > 1) || !res.Optimal || res.SolverNodes == 0 {
-			t.Errorf("%s anchors=%v: %d candidates, ambiguous=%v, optimal=%v, %d nodes; want %d candidates from a search",
-				c.sku.Name, c.anchors, res.Candidates, res.Ambiguous, res.Optimal, res.SolverNodes, c.candidates)
+		if res.Candidates != c.candidates || res.Ambiguous != (c.candidates > 1) || !res.Optimal || res.SolverNodes != c.nodes {
+			t.Errorf("%s anchors=%v: %d candidates, ambiguous=%v, optimal=%v, %d nodes; want %d candidates from a %d-node search",
+				c.sku.Name, c.anchors, res.Candidates, res.Ambiguous, res.Optimal, res.SolverNodes, c.candidates, c.nodes)
 		}
 	}
 }
