@@ -35,14 +35,16 @@ fuzz:
 	go test -run XXX -fuzz FuzzCanonical -fuzztime 30s ./internal/locate
 	go test -run XXX -fuzz FuzzFingerprintOrder -fuzztime 30s ./internal/locate
 
-# Mirrors the lint jobs of .github/workflows/ci.yml: go vet, staticcheck
-# (skipped with a notice when the binary is absent — install it with
+# Mirrors the lint jobs of .github/workflows/ci.yml: go vet, gofmt (no
+# file may need reformatting), staticcheck (skipped with a notice when the
+# binary is absent — install it with
 # go install honnef.co/go/tools/cmd/staticcheck@2024.1.1) and the repo's
 # own coremaplint analyzers (see DESIGN.md §7). coremaplint must run from
 # inside the module: its source importer resolves coremap/internal/...
 # through the local build context.
 lint:
 	go vet ./...
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

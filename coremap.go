@@ -154,10 +154,9 @@ func MapMachine(ctx context.Context, h hostif.Host, die DieInfo, opts Options) (
 		ro.NumIMCs = len(die.IMC)
 	}
 	meas, err := p.RunWith(ctx, ro)
-	if err != nil && (meas == nil || !cmerr.IsDegraded(err)) {
+	if err != nil {
 		return nil, cmerr.Ensure(cmerr.Permanent, "coremap", err)
 	}
-	measErr := err // nil, or a Degraded below-coverage-floor error with a usable partial
 	mp, err := locate.Reconstruct(ctx, locate.Input{
 		NumCHA:       meas.NumCHA,
 		Rows:         die.Rows,
@@ -181,7 +180,7 @@ func MapMachine(ctx context.Context, h hostif.Host, die DieInfo, opts Options) (
 		Ambiguous:   mp.Candidates > 1,
 		Degraded:    meas.Degraded,
 		Coverage:    meas.Coverage(),
-	}, measErr
+	}, nil
 }
 
 // survivors returns the planner's survivor set when it is the feasible

@@ -34,7 +34,7 @@ func TestMapMachineSurvivesTwoPercentFaultRate(t *testing.T) {
 	fh := faulty.New(m, faulty.Options{Seed: 91, Rate: 0.02})
 	res, err := MapMachine(context.Background(), fh, DieInfo{Rows: sku.Rows, Cols: sku.Cols},
 		Options{Probe: probe.Options{Seed: 91, RetryBackoff: time.Microsecond}})
-	if err != nil && !cmerr.IsDegraded(err) {
+	if err != nil {
 		t.Fatalf("2%% fault rate produced a hard error instead of a (possibly degraded) result: %v", err)
 	}
 	if res == nil {
@@ -61,7 +61,7 @@ func TestMapMachineDegradesAroundStuckCPU(t *testing.T) {
 	fh := faulty.New(m, faulty.Options{Seed: 92, StuckCPUs: []int{5}})
 	res, err := MapMachine(context.Background(), fh, DieInfo{Rows: sku.Rows, Cols: sku.Cols},
 		Options{Probe: probe.Options{Seed: 92, RetryBackoff: time.Microsecond}})
-	if err != nil && !cmerr.IsDegraded(err) {
+	if err != nil {
 		t.Fatalf("stuck CPU produced a hard error: %v", err)
 	}
 	if res == nil {

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -104,8 +105,10 @@ func directiveText(comment string) (string, bool) {
 // applyAllows filters diags through the directives, marking the
 // directives that fired. It returns the surviving diagnostics plus one
 // "unused suppression" diagnostic per directive that matched nothing —
-// stale allows otherwise accumulate and mask future regressions.
-func applyAllows(diags []Diagnostic, allows []*Allow) []Diagnostic {
+// stale allows otherwise accumulate and mask future regressions. Only
+// directives for an analyzer in ran are judged: a directive for one that
+// did not run (coremaplint -only) has had no chance to fire.
+func applyAllows(diags []Diagnostic, allows []*Allow, ran []*Analyzer) []Diagnostic {
 	var kept []Diagnostic
 	for _, d := range diags {
 		suppressed := false
@@ -120,7 +123,8 @@ func applyAllows(diags []Diagnostic, allows []*Allow) []Diagnostic {
 		}
 	}
 	for _, a := range allows {
-		if !a.used {
+		judged := slices.ContainsFunc(ran, func(r *Analyzer) bool { return r.Name == a.Analyzer })
+		if judged && !a.used {
 			kept = append(kept, Diagnostic{
 				Pos:      a.Pos,
 				Analyzer: "allow",

@@ -93,17 +93,18 @@ func TestApplyAllowsCoverage(t *testing.T) {
 	allow := func(file string, line int, analyzer string) *Allow {
 		return &Allow{File: file, Line: line, Analyzer: analyzer, Reason: "r"}
 	}
+	ran := []*Analyzer{{Name: "detrange"}, {Name: "ctxflow"}}
 
 	t.Run("same line and next line suppress", func(t *testing.T) {
 		diags := []Diagnostic{diag("f.go", 10, "detrange"), diag("f.go", 11, "detrange")}
-		kept := applyAllows(diags, []*Allow{allow("f.go", 10, "detrange")})
+		kept := applyAllows(diags, []*Allow{allow("f.go", 10, "detrange")}, ran)
 		if len(kept) != 0 {
 			t.Errorf("kept %d diagnostics, want 0 (directive covers its line and the next): %+v", len(kept), kept)
 		}
 	})
 
 	t.Run("wrong analyzer does not suppress", func(t *testing.T) {
-		kept := applyAllows([]Diagnostic{diag("f.go", 10, "ctxflow")}, []*Allow{allow("f.go", 10, "detrange")})
+		kept := applyAllows([]Diagnostic{diag("f.go", 10, "ctxflow")}, []*Allow{allow("f.go", 10, "detrange")}, ran)
 		// The finding survives AND the useless directive is reported.
 		var msgs []string
 		for _, d := range kept {
@@ -115,24 +116,35 @@ func TestApplyAllowsCoverage(t *testing.T) {
 	})
 
 	t.Run("distance two does not suppress", func(t *testing.T) {
-		kept := applyAllows([]Diagnostic{diag("f.go", 12, "detrange")}, []*Allow{allow("f.go", 10, "detrange")})
+		kept := applyAllows([]Diagnostic{diag("f.go", 12, "detrange")}, []*Allow{allow("f.go", 10, "detrange")}, ran)
 		if len(kept) != 2 {
 			t.Errorf("kept %d diagnostics, want 2 (finding + unused allow)", len(kept))
 		}
 	})
 
 	t.Run("other file does not suppress", func(t *testing.T) {
-		kept := applyAllows([]Diagnostic{diag("g.go", 10, "detrange")}, []*Allow{allow("f.go", 10, "detrange")})
+		kept := applyAllows([]Diagnostic{diag("g.go", 10, "detrange")}, []*Allow{allow("f.go", 10, "detrange")}, ran)
 		if len(kept) != 2 {
 			t.Errorf("kept %d diagnostics, want 2 (finding + unused allow)", len(kept))
 		}
 	})
 
 	t.Run("unused allow is reported", func(t *testing.T) {
-		kept := applyAllows(nil, []*Allow{allow("f.go", 10, "detrange")})
+		kept := applyAllows(nil, []*Allow{allow("f.go", 10, "detrange")}, ran)
 		if len(kept) != 1 || kept[0].Analyzer != "allow" ||
 			!strings.Contains(kept[0].Message, "unused //lint:allow") {
 			t.Errorf("kept = %+v, want one unused-allow diagnostic", kept)
+		}
+	})
+
+	// coremaplint -only lockcheck runs one analyzer: the directives for
+	// the others had no chance to fire and must not read as stale, while
+	// an unused directive for the analyzer that ran still does.
+	t.Run("-only judges only the analyzers that ran", func(t *testing.T) {
+		allows := []*Allow{allow("f.go", 10, "gosync"), allow("f.go", 20, "ctxflow"), allow("f.go", 30, "lockcheck")}
+		kept := applyAllows(nil, allows, []*Analyzer{{Name: "lockcheck"}})
+		if len(kept) != 1 || !strings.Contains(kept[0].Message, "lint:allow lockcheck") {
+			t.Errorf("kept = %+v, want only the unused lockcheck directive", kept)
 		}
 	})
 }

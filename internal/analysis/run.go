@@ -59,6 +59,6 @@ func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 	}
 	allows, malformed := collectAllows(pkg.Fset, pkg.Files)
-	diags = applyAllows(diags, allows)
+	diags = applyAllows(diags, allows, analyzers)
 	return append(diags, malformed...), nil
 }

@@ -18,7 +18,6 @@ func TestExitCode(t *testing.T) {
 		{"nil", nil, ExitOK},
 		{"plain", errors.New("boom"), ExitError},
 		{"permanent", cmerr.New(cmerr.Permanent, "probe", "bad"), ExitError},
-		{"degraded", cmerr.New(cmerr.Degraded, "probe", "coverage"), ExitError},
 		{"interrupted", cmerr.New(cmerr.Interrupted, "ilp", "cancelled"), ExitInterrupted},
 		{"raw-cancel", context.Canceled, ExitInterrupted},
 		{"raw-deadline", context.DeadlineExceeded, ExitInterrupted},

@@ -96,7 +96,7 @@ func (tf *Telemetry) Registry() *obs.Registry {
 // snapshot, writes the flight-recorder dump when the run warrants one, and
 // prints the -report table to w (stdout in the commands). runErr is the
 // run's outcome: with -flight-dir set, a non-nil runErr — or any recorded
-// Permanent/Degraded/Interrupted span — triggers the post-mortem dump.
+// Permanent/Interrupted span or event — triggers the post-mortem dump.
 // Idempotent (only the first call does anything), and safe to call when
 // Start never ran.
 func (tf *Telemetry) Close(w io.Writer, runErr error) error {

@@ -1,6 +1,6 @@
 // Package cmerr is the pipeline's typed error taxonomy. Every error that
 // crosses a stage boundary (probe → locate → ilp → cmd) is classified into
-// one of four classes and carries provenance — the stage that produced it
+// one of three classes and carries provenance — the stage that produced it
 // and, when known, the CPU, CHA and MSR address involved — so callers can
 // decide mechanically what to do with a failure instead of parsing
 // strings:
@@ -16,9 +16,10 @@
 //     Stages stop promptly and return their best partial result alongside
 //     this class; commands exit with code 2 so scripts can distinguish a
 //     timeout from a hard failure.
-//   - Degraded: the stage produced a result, but from incomplete inputs
-//     (coverage below the caller's floor). Returned only when the caller
-//     asked for a minimum coverage the run could not meet.
+//
+// A run that degraded around Permanent failures is not an error: it
+// reports the degradation in its result (probe.Result.Degraded, Coverage
+// and Failures).
 //
 // All wrapping is errors.Is/errors.As compatible: errors.Is(err,
 // cmerr.Transient) matches any error wrapped with that class, at any
@@ -32,23 +33,22 @@ import (
 	"strings"
 )
 
-// Class is one of the four failure classes. Classes are errors themselves,
+// Class is one of the three failure classes. Classes are errors themselves,
 // so they compose with errors.Is as sentinel targets.
 type Class struct{ name string }
 
 func (c *Class) Error() string { return c.name }
 
-// The four classes. These are the only instances; compare with errors.Is.
+// The three classes. These are the only instances; compare with errors.Is.
 var (
 	Transient   = &Class{"transient"}
 	Permanent   = &Class{"permanent"}
 	Interrupted = &Class{"interrupted"}
-	Degraded    = &Class{"degraded"}
 )
 
 // Error is a classified pipeline error with provenance.
 type Error struct {
-	// Class is one of Transient, Permanent, Interrupted, Degraded.
+	// Class is one of Transient, Permanent, Interrupted.
 	Class *Class
 	// Stage names the pipeline stage that produced the error ("probe",
 	// "locate", "ilp", "host", "covert", ...).
@@ -188,9 +188,6 @@ func IsInterrupted(err error) bool {
 	return errors.Is(err, Interrupted) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
-
-// IsDegraded reports whether err is classified Degraded.
-func IsDegraded(err error) bool { return errors.Is(err, Degraded) }
 
 // FromContext converts a cancelled context into an Interrupted error; it
 // returns nil while ctx is still live. Stages call it at loop heads and at

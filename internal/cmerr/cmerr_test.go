@@ -15,7 +15,7 @@ func TestClassMatching(t *testing.T) {
 	if !errors.Is(err, Transient) {
 		t.Error("wrapped error does not match its class")
 	}
-	if errors.Is(err, Permanent) || errors.Is(err, Interrupted) || errors.Is(err, Degraded) {
+	if errors.Is(err, Permanent) || errors.Is(err, Interrupted) {
 		t.Error("wrapped error matches a foreign class")
 	}
 	if !errors.Is(err, cause) {

@@ -9,8 +9,8 @@ import (
 	"coremap/internal/cmerr"
 )
 
-// The flight dump is the run's black box: when a run ends Degraded or
-// Interrupted, or any span ends with a Permanent error, WriteFlight dumps
+// The flight dump is the run's black box: when a run ends Interrupted, or
+// any span or event ends with a Permanent error, WriteFlight dumps
 // the cmerr provenance of the triggering errors, a metric snapshot and
 // the tail of the trace ring as JSONL. A noisy stage can evict a failed
 // span's record from the ring, but the triggers keep its name, class and
@@ -60,12 +60,11 @@ func errClass(err error) (string, *ErrInfo) {
 }
 
 // flightTriggering reports whether a span ending with this class should
-// arm the flight recorder: permanent failures and degraded or interrupted
-// endings are post-mortem-worthy; transient errors are retried and
-// absorbed upstream.
+// arm the flight recorder: permanent failures and interrupted endings are
+// post-mortem-worthy; transient errors are retried and absorbed upstream.
 func flightTriggering(class string) bool {
 	switch class {
-	case cmerr.Permanent.Error(), cmerr.Degraded.Error(), cmerr.Interrupted.Error():
+	case cmerr.Permanent.Error(), cmerr.Interrupted.Error():
 		return true
 	}
 	return false
@@ -89,8 +88,8 @@ type FlightHeader struct {
 }
 
 // FlightTriggered reports whether any recorded span or event ended with a
-// Permanent, Degraded or Interrupted error — i.e. whether a post-mortem
-// dump would have something to explain. Nil-safe.
+// Permanent or Interrupted error — i.e. whether a post-mortem dump would
+// have something to explain. Nil-safe.
 func (t *Telemetry) FlightTriggered() bool {
 	if t == nil {
 		return false

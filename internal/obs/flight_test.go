@@ -75,7 +75,7 @@ func TestFlightPerStageRetention(t *testing.T) {
 	ctx := With(context.Background(), tel)
 
 	_, s := Start(ctx, "ilp/solve")
-	s.End(fmt.Errorf("budget: %w", cmerr.Degraded))
+	s.End(fmt.Errorf("budget: %w", cmerr.Interrupted))
 	// Flood a different stage well past the ring's capacity.
 	for i := 0; i < 100; i++ {
 		_, s := Start(ctx, fmt.Sprintf("probe/op-%d", i))
@@ -100,8 +100,8 @@ func TestFlightPerStageRetention(t *testing.T) {
 		t.Fatalf("header capacity = %d, want the trace ring's 8", first.Flight.Capacity)
 	}
 	trigs := first.Flight.Triggers
-	if len(trigs) != 1 || trigs[0].Name != "ilp/solve" || trigs[0].Err != "degraded" {
-		t.Fatalf("triggers = %+v, want the degraded ilp/solve", trigs)
+	if len(trigs) != 1 || trigs[0].Name != "ilp/solve" || trigs[0].Err != "interrupted" {
+		t.Fatalf("triggers = %+v, want the interrupted ilp/solve", trigs)
 	}
 	// The ring holds exactly the last TraceCapacity records.
 	var names []string
@@ -133,7 +133,7 @@ func TestFlightSpansMatchTrace(t *testing.T) {
 	Event(ctx, "probe/experiment-failed",
 		cmerr.New(cmerr.Permanent, "probe", "stuck <cpu>").WithOp("rdmsr").OnCPU(2).AtCHA(1))
 	s.End(nil)
-	root.End(fmt.Errorf("budget: %w", cmerr.Degraded))
+	root.End(fmt.Errorf("budget: %w", cmerr.Interrupted))
 
 	var dump bytes.Buffer
 	if err := tel.WriteFlight(&dump, nil); err != nil {
@@ -210,7 +210,7 @@ func TestWriteFlightNilAndRunErr(t *testing.T) {
 	// A run error alone (no triggering spans) still produces a valid dump
 	// whose header carries the error's class and provenance.
 	tel := New(Config{})
-	runErr := cmerr.New(cmerr.Degraded, "locate", "coverage below threshold").OnCPU(-1).AtCHA(-1)
+	runErr := cmerr.New(cmerr.Permanent, "locate", "observations unsatisfiable").OnCPU(-1).AtCHA(-1)
 	var buf bytes.Buffer
 	if err := tel.WriteFlight(&buf, runErr); err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestWriteFlightNilAndRunErr(t *testing.T) {
 	if err := json.Unmarshal([]byte(header), &first); err != nil {
 		t.Fatal(err)
 	}
-	if first.Flight.RunErr != "degraded" || first.Flight.Reason == nil || first.Flight.Reason.Stage != "locate" {
-		t.Fatalf("header = %+v, want run_err=degraded reason.stage=locate", first.Flight)
+	if first.Flight.RunErr != "permanent" || first.Flight.Reason == nil || first.Flight.Reason.Stage != "locate" {
+		t.Fatalf("header = %+v, want run_err=permanent reason.stage=locate", first.Flight)
 	}
 }

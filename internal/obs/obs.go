@@ -236,9 +236,9 @@ func (s *Span) SetAttrStr(key, v string) *Span {
 }
 
 // End finishes the span, recording its duration and the cmerr class of
-// err ("transient", "permanent", "interrupted", "degraded", or
-// "unclassified" for errors outside the taxonomy). Safe to call from a
-// defer with the function's named error. Idempotent; no-op on nil.
+// err ("transient", "permanent", "interrupted", or "unclassified" for
+// errors outside the taxonomy). Safe to call from a defer with the
+// function's named error. Idempotent; no-op on nil.
 func (s *Span) End(err error) {
 	if s == nil || s.ended {
 		return

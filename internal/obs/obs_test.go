@@ -282,7 +282,7 @@ func runTrace(t *testing.T) []byte {
 	}
 	_, s := Start(ctx, "ilp/solve")
 	s.SetAttr("nodes", 128)
-	s.End(fmt.Errorf("budget: %w", cmerr.Degraded))
+	s.End(fmt.Errorf("budget: %w", cmerr.Interrupted))
 	root.End(nil)
 	if err := tel.SinkErr(); err != nil {
 		t.Fatal(err)

@@ -97,7 +97,10 @@ func (p *Prober) installStep1(st *step1State) {
 }
 
 // optionsKey encodes every Options field that can change a measurement
-// outcome (Progress and Cache itself are behavioral, not semantic).
+// outcome: the seed and the planner configuration. Cache itself and the
+// retry settings are behavioral, not semantic — a result that needed a
+// retry it did not get is degraded, and degraded results are never
+// cached.
 func (p *Prober) optionsKey(buf []byte) []byte {
 	o := p.opts
 	b2i := func(b bool) int64 {
@@ -106,14 +109,7 @@ func (p *Prober) optionsKey(buf []byte) []byte {
 		}
 		return 0
 	}
-	for _, v := range []int64{
-		int64(o.L2Sets), int64(o.L2Ways), int64(o.HomeSamples),
-		int64(o.EvictRounds), int64(o.TrafficIters), int64(o.Threshold),
-		b2i(o.NoCalibration), int64(o.MaxCandidates), o.Seed,
-		b2i(o.FailFast), int64(o.MinCoverage * 1e6),
-	} {
-		buf = binary.AppendVarint(buf, v)
-	}
+	buf = binary.AppendVarint(buf, o.Seed)
 	// A planned and an exhaustive survey measure different experiment
 	// subsets (and plan mode switches step 1 to the guided sweep), so the
 	// planner configuration is part of the content address.

@@ -85,7 +85,8 @@ func TestResultCacheStep1Restore(t *testing.T) {
 	// p2 never built eviction sets itself; the restored state must carry
 	// them, or this traffic experiment cannot find a line homed at the
 	// sink CHA.
-	obs, err := p2.MeasureTraffic(context.Background(), 0, 1, mapping2[0], mapping2[1])
+	p2.bind(context.Background())
+	obs, err := p2.measureTraffic(0, 1, mapping2[0], mapping2[1])
 	if err != nil {
 		t.Fatalf("traffic experiment after step-1 cache hit: %v", err)
 	}

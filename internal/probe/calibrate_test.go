@@ -10,7 +10,8 @@ import (
 func TestCalibrateNoiseQuietHost(t *testing.T) {
 	m := machine.Generate(machine.SKU8259CL, 0, machine.Config{Seed: 1})
 	p := newProber(t, m)
-	if err := p.CalibrateNoise(context.Background()); err != nil {
+	p.bind(context.Background())
+	if err := p.calibrateNoise(); err != nil {
 		t.Fatal(err)
 	}
 	if p.noisePerOpMilli != 0 {
@@ -24,7 +25,8 @@ func TestCalibrateNoiseQuietHost(t *testing.T) {
 func TestCalibrateNoiseBusyHost(t *testing.T) {
 	m := machine.Generate(machine.SKU8259CL, 0, machine.Config{Seed: 2, NoiseFlits: 8, NoiseEveryOps: 8})
 	p := newProber(t, m)
-	if err := p.CalibrateNoise(context.Background()); err != nil {
+	p.bind(context.Background())
+	if err := p.calibrateNoise(); err != nil {
 		t.Fatal(err)
 	}
 	if p.noisePerOpMilli == 0 {
@@ -40,19 +42,21 @@ func TestCalibrateNoiseBusyHost(t *testing.T) {
 
 func TestThresholdsScaleWithNoise(t *testing.T) {
 	quiet := newProber(t, machine.Generate(machine.SKU8259CL, 0, machine.Config{Seed: 3}))
-	if err := quiet.CalibrateNoise(context.Background()); err != nil {
+	quiet.bind(context.Background())
+	if err := quiet.calibrateNoise(); err != nil {
 		t.Fatal(err)
 	}
 	busy := newProber(t, machine.Generate(machine.SKU8259CL, 0, machine.Config{Seed: 3, NoiseFlits: 8, NoiseEveryOps: 8}))
-	if err := busy.CalibrateNoise(context.Background()); err != nil {
+	busy.bind(context.Background())
+	if err := busy.calibrateNoise(); err != nil {
 		t.Fatal(err)
 	}
 	if busy.counterThreshold(64, 128) <= quiet.counterThreshold(64, 128) {
 		t.Error("busy-host counter threshold not above quiet-host threshold")
 	}
 	// The base floor still applies on quiet hosts.
-	if got := quiet.counterThreshold(2, 2); got < quiet.opts.Threshold {
-		t.Errorf("threshold %d fell below the configured base %d", got, quiet.opts.Threshold)
+	if got := quiet.counterThreshold(2, 2); got < baseThreshold {
+		t.Errorf("threshold %d fell below the base %d", got, baseThreshold)
 	}
 }
 
@@ -71,19 +75,5 @@ func TestStep1SurvivesHeavyNoise(t *testing.T) {
 		if got[cpu] != want[cpu] {
 			t.Errorf("OS %d → CHA %d, want %d", cpu, got[cpu], want[cpu])
 		}
-	}
-}
-
-func TestNoCalibrationOption(t *testing.T) {
-	m := machine.Generate(machine.SKU8259CL, 0, machine.Config{Seed: 5})
-	p, err := New(m, Options{Seed: 1, NoCalibration: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ensureCalibrated(); err != nil {
-		t.Fatal(err)
-	}
-	if p.calibrated {
-		t.Error("NoCalibration still calibrated")
 	}
 }

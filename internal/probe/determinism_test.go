@@ -67,7 +67,8 @@ func measurementTrace(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.MeasureTraffic(context.Background(), 0, 23, mapping[0], mapping[23]); err != nil {
+	p.bind(context.Background())
+	if _, err := p.measureTraffic(0, 23, mapping[0], mapping[23]); err != nil {
 		t.Fatal(err)
 	}
 	// Repeat the counter sweep many times: a randomized sweep order (the

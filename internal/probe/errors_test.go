@@ -53,11 +53,12 @@ func TestMeasureMemoryTrafficUsesInterleave(t *testing.T) {
 func TestMeasureTrafficUnknownSink(t *testing.T) {
 	m := machine.Generate(machine.SKU8124M, 0, machine.Config{Seed: 13})
 	p := newProber(t, m)
-	if _, err := p.MeasureTraffic(context.Background(), 0, 1, 0, 1); err == nil {
-		t.Error("MeasureTraffic without eviction sets succeeded")
+	p.bind(context.Background())
+	if _, err := p.measureTraffic(0, 1, 0, 1); err == nil {
+		t.Error("measureTraffic without eviction sets succeeded")
 	}
-	if _, err := p.MeasureSliceTraffic(context.Background(), 0, 0, 5); err == nil {
-		t.Error("MeasureSliceTraffic without eviction sets succeeded")
+	if _, err := p.measureSliceTraffic(0, 0, 5); err == nil {
+		t.Error("measureSliceTraffic without eviction sets succeeded")
 	}
 }
 
@@ -103,7 +104,9 @@ func TestProbeSurfacesHostFailures(t *testing.T) {
 	// Learn how many host operations a clean run needs, then inject the
 	// failure at several points inside that span: whatever stage it
 	// lands in, Run must surface the injected error rather than
-	// fabricate results.
+	// fabricate results. A fault that hits run-level infrastructure
+	// (calibration, eviction-set discovery) aborts the run; any other is
+	// degraded around — but never silently ignored.
 	clean := &failingHost{
 		Machine: machine.Generate(machine.SKU8124M, 0, machine.Config{Seed: 14}),
 		budget:  1 << 60,
@@ -119,24 +122,7 @@ func TestProbeSurfacesHostFailures(t *testing.T) {
 
 	for _, budget := range []int{0, totalOps / 10, totalOps / 2, totalOps - 10} {
 		m := machine.Generate(machine.SKU8124M, 0, machine.Config{Seed: 14})
-		host := &failingHost{Machine: m, budget: budget}
-		p, err := New(host, Options{Seed: 1, FailFast: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = p.Run(context.Background())
-		if err == nil {
-			t.Fatalf("budget %d/%d: FailFast Run succeeded despite injected failures", budget, totalOps)
-		}
-		if !errors.Is(err, errInjected) {
-			t.Fatalf("budget %d: error %v does not wrap the injected failure", budget, err)
-		}
-
-		// Without FailFast the same fault either still aborts (when it
-		// hits run-level infrastructure like calibration or eviction-set
-		// discovery) or is degraded around — but never silently ignored.
-		m = machine.Generate(machine.SKU8124M, 0, machine.Config{Seed: 14})
-		p, err = New(&failingHost{Machine: m, budget: budget}, Options{Seed: 1})
+		p, err := New(&failingHost{Machine: m, budget: budget}, Options{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,8 +154,9 @@ func TestFindLineHomeNeedsTwoCPUs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.FindLineHome(context.Background(), 0x1000); err == nil {
-		t.Error("FindLineHome succeeded with a single CPU")
+	p.bind(context.Background())
+	if _, err := p.findLineHome(0x1000); err == nil {
+		t.Error("findLineHome succeeded with a single CPU")
 	}
 }
 

@@ -58,33 +58,28 @@ var ctrScratch pool.Scratch[uint64]
 // stage tags every error this package classifies.
 const stage = "probe"
 
-// Options tunes the measurement effort. The zero value selects defaults
-// that are comfortably above the simulator's noise floor.
+// The measurement procedure's fixed effort. homeSamples ping-pong writes
+// identify a line's home slice; evictRounds passes over an eviction set
+// make one co-location test; trafficIters write/read bounces make one
+// step-2 experiment; baseThreshold is the minimum counter delta
+// (ring-occupancy cycles) treated as real traffic rather than noise; and
+// maxCandidates bounds the address scan that builds eviction sets. The
+// eviction-set geometry is the (publicly documented) private-cache
+// geometry in cache.DefaultConfig: a set is L2Ways+1 lines.
+const (
+	homeSamples   = 32
+	evictRounds   = 4
+	trafficIters  = 16
+	baseThreshold = 24
+	maxCandidates = 4096
+)
+
+// Options configures a Prober. The measurement procedure itself is fixed
+// (see the effort constants above); the options choose its seed, its
+// memoization, its fault-retry budget and whether step 2 is planned. The
+// zero value runs the exhaustive sweeps with the default retry budget
+// and no cache.
 type Options struct {
-	// L2Sets and L2Ways describe the (publicly documented) private-cache
-	// geometry of the target part; the eviction-set threshold is
-	// L2Ways+1 lines. Zero selects the simulator's default geometry.
-	L2Sets, L2Ways int
-	// HomeSamples is the number of ping-pong writes used to identify a
-	// line's home slice.
-	HomeSamples int
-	// EvictRounds is the number of passes over an eviction set per
-	// co-location test.
-	EvictRounds int
-	// TrafficIters is the number of write/read bounces per inter-tile
-	// traffic experiment.
-	TrafficIters int
-	// Threshold is the minimum counter delta (ring-occupancy cycles)
-	// treated as real traffic rather than noise.
-	Threshold uint64
-	// NoCalibration disables the noise-floor calibration that adapts
-	// the thresholds to background platform traffic.
-	NoCalibration bool
-	// Progress, when non-nil, receives coarse progress callbacks
-	// (stage name, completed units, total units) during long phases.
-	Progress func(stage string, done, total int)
-	// MaxCandidates bounds the address scan when building eviction sets.
-	MaxCandidates int
 	// Seed drives the probe's address exploration.
 	Seed int64
 	// Cache, when non-nil, memoizes measurement results by chip identity
@@ -100,14 +95,6 @@ type Options struct {
 	// doubled per attempt (0 selects 100µs). Backoff sleeps observe the
 	// context.
 	RetryBackoff time.Duration
-	// MinCoverage, when positive, is the experiment-coverage floor below
-	// which RunWith returns a cmerr.Degraded error alongside the partial
-	// Result instead of a silent degraded success.
-	MinCoverage float64
-	// FailFast restores the strict pre-fault-tolerance contract: any
-	// permanent experiment failure aborts the run with an error instead
-	// of degrading around the affected CPU or core pair.
-	FailFast bool
 	// Plan, when non-nil, runs the survey adaptively: step-2 experiments
 	// are issued in batches chosen by an internal/plan planner, which
 	// tracks the set of placements still consistent with the observations
@@ -120,27 +107,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.L2Sets == 0 {
-		o.L2Sets = 64
-	}
-	if o.L2Ways == 0 {
-		o.L2Ways = 8
-	}
-	if o.HomeSamples == 0 {
-		o.HomeSamples = 32
-	}
-	if o.EvictRounds == 0 {
-		o.EvictRounds = 4
-	}
-	if o.TrafficIters == 0 {
-		o.TrafficIters = 16
-	}
-	if o.Threshold == 0 {
-		o.Threshold = 24
-	}
-	if o.MaxCandidates == 0 {
-		o.MaxCandidates = 4096
-	}
 	if o.OpRetries == 0 {
 		o.OpRetries = 3
 	} else if o.OpRetries < 0 {
@@ -340,27 +306,18 @@ func (p *Prober) discoverCHAs() (int, error) {
 // NumCHA returns the number of discovered CHA boxes.
 func (p *Prober) NumCHA() int { return p.mon.NumCHA }
 
-// progress reports long-phase progress when a callback is configured,
-// and mirrors it into the probe/progress/* gauges so a -debug-addr
-// snapshot shows how far each phase has come.
+// progress reports long-phase progress into the probe/progress/* gauges,
+// so a -debug-addr snapshot shows how far each phase has come.
 func (p *Prober) progress(stage string, done, total int) {
 	p.reg.Gauge("probe/progress/" + stage + "_done").Set(int64(done))
 	p.reg.Gauge("probe/progress/" + stage + "_total").Set(int64(total))
-	if p.opts.Progress != nil {
-		p.opts.Progress(stage, done, total)
-	}
 }
 
-// CalibrateNoise measures the platform's background ring traffic: it runs
+// calibrateNoise measures the platform's background ring traffic: it runs
 // a pure-L2-hit workload (which injects no mesh traffic of its own) and
 // attributes every ring cycle observed meanwhile to noise. The estimate
 // scales the detection thresholds, which is what keeps the probe working
 // on busy hosts.
-func (p *Prober) CalibrateNoise(ctx context.Context) error {
-	p.bind(ctx)
-	return p.calibrateNoise()
-}
-
 func (p *Prober) calibrateNoise() error {
 	const calOps = 512
 	addr := uint64(0x600000000) + uint64(p.rng.Intn(1<<12))*64
@@ -385,9 +342,9 @@ func (p *Prober) calibrateNoise() error {
 	return nil
 }
 
-// ensureCalibrated runs noise calibration once unless disabled.
+// ensureCalibrated runs noise calibration once.
 func (p *Prober) ensureCalibrated() error {
-	if p.calibrated || p.opts.NoCalibration {
+	if p.calibrated {
 		return nil
 	}
 	return p.calibrateNoise()
@@ -418,14 +375,9 @@ func (p *Prober) readPPIN() (uint64, error) {
 	return v, nil
 }
 
-// FindLineHome identifies the home CHA of the line at addr by ping-pong
+// findLineHome identifies the home CHA of the line at addr by ping-pong
 // writing it from two cores and picking the CHA with the most LLC lookups,
 // the uncore-assisted variant of eviction-set home discovery.
-func (p *Prober) FindLineHome(ctx context.Context, addr uint64) (int, error) {
-	p.bind(ctx)
-	return p.findLineHome(addr)
-}
-
 func (p *Prober) findLineHome(addr uint64) (int, error) {
 	n := p.host.NumCPUs()
 	if n < 2 {
@@ -435,7 +387,7 @@ func (p *Prober) findLineHome(addr uint64) (int, error) {
 		return 0, cmerr.Ensure(cmerr.Permanent, stage, err)
 	}
 	cpuA, cpuB := 0, n-1
-	for i := 0; i < p.opts.HomeSamples; i++ {
+	for i := 0; i < homeSamples; i++ {
 		if err := p.host.Store(cpuA, addr); err != nil {
 			return 0, cmerr.Ensure(cmerr.Permanent, stage, err)
 		}
@@ -454,27 +406,22 @@ func (p *Prober) findLineHome(addr uint64) (int, error) {
 			best, bestCount = cha, c
 		}
 	}
-	if best < 0 || bestCount < uint64(p.opts.HomeSamples) {
+	if best < 0 || bestCount < homeSamples {
 		return 0, cmerr.New(cmerr.Permanent, stage,
 			"home of %#x not identifiable (max lookups %d)", addr, bestCount).WithOp("find-home")
 	}
 	return best, nil
 }
 
-// BuildEvictionSets scans same-L2-set addresses until every CHA has a full
+// buildEvictionSets scans same-L2-set addresses until every CHA has a full
 // slice eviction set (L2Ways+1 lines that share one L2 set and one home
 // slice). The discovered lines are cached for later traffic experiments.
-func (p *Prober) BuildEvictionSets(ctx context.Context) error {
-	p.bind(ctx)
-	return p.buildEvictionSets()
-}
-
 func (p *Prober) buildEvictionSets() error {
-	need := p.opts.L2Ways + 1
-	setStride := uint64(p.opts.L2Sets) * 64
+	need := cache.DefaultConfig.L2Ways + 1
+	setStride := uint64(cache.DefaultConfig.L2Sets) * 64
 	base := uint64(0x40000000) + uint64(p.rng.Intn(1<<16))*setStride
 	filled := 0
-	for i := 0; i < p.opts.MaxCandidates && filled < p.mon.NumCHA; i++ {
+	for i := 0; i < maxCandidates && filled < p.mon.NumCHA; i++ {
 		addr := base + uint64(i)*setStride
 		home, err := p.findLineHome(addr)
 		if err != nil {
@@ -490,13 +437,10 @@ func (p *Prober) buildEvictionSets() error {
 	if filled < p.mon.NumCHA {
 		return cmerr.New(cmerr.Permanent, stage,
 			"only %d/%d slices received a full eviction set after %d candidates",
-			filled, p.mon.NumCHA, p.opts.MaxCandidates).WithOp("eviction-sets")
+			filled, p.mon.NumCHA, maxCandidates).WithOp("eviction-sets")
 	}
 	return nil
 }
-
-// EvictionSet returns the discovered eviction set for a CHA.
-func (p *Prober) EvictionSet(cha int) []uint64 { return p.homes[cha] }
 
 // resetRingCounters programs and rebases the three BL-ring counters on
 // every CHA box.
@@ -557,8 +501,8 @@ func (p *Prober) totalRingTraffic() (uint64, error) {
 // on-path counter additionally carries the full measured stream.
 func (p *Prober) counterThreshold(ops int, perCounterSignal uint64) uint64 {
 	t := p.noiseEstimate(ops)/4 + perCounterSignal/2
-	if t < p.opts.Threshold {
-		t = p.opts.Threshold
+	if t < baseThreshold {
+		t = baseThreshold
 	}
 	return t
 }
@@ -567,7 +511,7 @@ func (p *Prober) counterThreshold(ops int, perCounterSignal uint64) uint64 {
 // CHA cha: eviction traffic between co-located pairs never enters the mesh.
 func (p *Prober) coLocated(cpu, cha int) (bool, error) {
 	set := p.homes[cha]
-	if len(set) <= p.opts.L2Ways {
+	if len(set) <= cache.DefaultConfig.L2Ways {
 		return false, cmerr.New(cmerr.Permanent, stage, "no eviction set for CHA %d", cha).AtCHA(cha)
 	}
 	// Warm one pass first: the lines may still be owned by whichever
@@ -581,7 +525,7 @@ func (p *Prober) coLocated(cpu, cha int) (bool, error) {
 	if err := p.resetRingCounters(); err != nil {
 		return false, err
 	}
-	rounds := p.opts.EvictRounds * p.repetitionFactor()
+	rounds := evictRounds * p.repetitionFactor()
 	for r := 0; r < rounds; r++ {
 		for _, addr := range set {
 			if err := p.host.Store(cpu, addr); err != nil {
@@ -599,7 +543,7 @@ func (p *Prober) coLocated(cpu, cha int) (bool, error) {
 	// write-backs, 8 ring cycles per access).
 	ops := rounds * len(set)
 	threshold := p.noiseEstimate(ops) + uint64(ops)*8/2
-	if min := p.opts.Threshold * uint64(p.opts.EvictRounds); threshold < min {
+	if min := uint64(baseThreshold * evictRounds); threshold < min {
 		threshold = min
 	}
 	return total < threshold, nil
@@ -617,16 +561,18 @@ func (p *Prober) repetitionFactor() int {
 	return m
 }
 
-// MapCoresToCHAs runs step 1: it tests all (core, slice) combinations and
-// returns the OS-CPU → CHA-ID mapping. With a ResultCache configured the
-// whole step — calibration, eviction-set discovery and the co-location
-// sweep — is memoized under the chip's PPIN, and a hit restores the
-// prober's internal state (eviction sets, noise floor) so later traffic
-// experiments continue exactly as if the step had run.
+// MapCoresToCHAs runs step 1: it tests (core, slice) combinations for
+// co-location (all of them, or a guided subset in plan mode; see
+// mapCoresToCHAs) and returns the OS-CPU → CHA-ID mapping. With a
+// ResultCache configured the whole step — calibration, eviction-set
+// discovery and the co-location sweep — is memoized under the chip's
+// PPIN, and a hit restores the prober's internal state (eviction sets,
+// noise floor) so later traffic experiments continue exactly as if the
+// step had run.
 //
 // A CPU whose co-location tests failed with permanent host errors is
-// reported as -1 in the mapping instead of failing the whole step (unless
-// Options.FailFast is set); such degraded mappings are never cached.
+// reported as -1 in the mapping instead of failing the whole step; such
+// degraded mappings are never cached.
 func (p *Prober) MapCoresToCHAs(ctx context.Context) (mapping []int, err error) {
 	ctx, span := obs.Start(ctx, "probe/map-cores")
 	defer func() {
@@ -688,6 +634,17 @@ func (p *Prober) dropCore(cpu, cha int, cause error) {
 			WithOp("core-to-cha").OnCPU(cpu).AtCHA(cha))
 }
 
+// mapCoresToCHAs is step 1's co-location sweep. Unplanned, it tests every
+// (cpu, CHA) combination — n² co-location tests — because it doubles as
+// the verifier for the one-CHA-per-core invariant. Planned, the sweep is
+// guided: it stops each CPU at its first match, skips CHAs already
+// claimed by an earlier CPU, and starts each scan at the CHA after the
+// previous match (CPU enumeration order tends to follow the die layout,
+// so the next match is usually adjacent). The guided sweep assumes one
+// CPU per tile (no SMT siblings sharing a CHA) and gives up
+// double-co-location detection in exchange for a near-n reduction in
+// tests on cooperative orderings. Either way, host faults leave a CPU
+// unmapped and recorded, while a fault-free miss is a strict error.
 func (p *Prober) mapCoresToCHAs() ([]int, []Failure, error) {
 	if err := p.ensureCalibrated(); err != nil {
 		return nil, nil, err
@@ -697,20 +654,24 @@ func (p *Prober) mapCoresToCHAs() ([]int, []Failure, error) {
 			return nil, nil, err
 		}
 	}
-	if p.opts.Plan != nil {
-		return p.mapCoresGuided()
-	}
+	guided := p.opts.Plan != nil
 	var failures []Failure
 	mapping := make([]int, p.host.NumCPUs())
+	claimed := make([]bool, p.mon.NumCHA)
+	start := 0
 	for cpu := range mapping {
 		p.progress("core-to-cha", cpu, len(mapping))
 		mapping[cpu] = -1
 		var opErr error
 		opCHA := -1
-		for cha := 0; cha < p.mon.NumCHA; cha++ {
+		for i := 0; i < p.mon.NumCHA; i++ {
+			cha := (start + i) % p.mon.NumCHA
+			if claimed[cha] {
+				continue
+			}
 			same, err := p.coLocated(cpu, cha)
 			if err != nil {
-				if cmerr.IsInterrupted(err) || p.opts.FailFast {
+				if cmerr.IsInterrupted(err) {
 					return nil, nil, err
 				}
 				// This (cpu, cha) test is unobtainable; remember why and
@@ -718,13 +679,19 @@ func (p *Prober) mapCoresToCHAs() ([]int, []Failure, error) {
 				opErr, opCHA = err, cha
 				continue
 			}
-			if same {
-				if mapping[cpu] != -1 {
-					return nil, nil, cmerr.New(cmerr.Permanent, stage,
-						"cpu %d co-located with both CHA %d and %d",
-						cpu, mapping[cpu], cha).OnCPU(cpu).WithOp("co-locate")
-				}
-				mapping[cpu] = cha
+			if !same {
+				continue
+			}
+			if mapping[cpu] != -1 {
+				return nil, nil, cmerr.New(cmerr.Permanent, stage,
+					"cpu %d co-located with both CHA %d and %d",
+					cpu, mapping[cpu], cha).OnCPU(cpu).WithOp("co-locate")
+			}
+			mapping[cpu] = cha
+			if guided {
+				claimed[cha] = true
+				start = cha + 1
+				break
 			}
 		}
 		if mapping[cpu] == -1 {
@@ -752,79 +719,9 @@ func (p *Prober) mapCoresToCHAs() ([]int, []Failure, error) {
 	return mapping, failures, nil
 }
 
-// mapCoresGuided is plan-mode step 1. The exhaustive sweep tests every
-// (cpu, CHA) combination — n² co-location tests — because it doubles as
-// the verifier for the one-CHA-per-core invariant. The guided sweep
-// instead stops each CPU at its first match, skips CHAs already claimed
-// by an earlier CPU, and starts each scan at the CHA after the previous
-// match (CPU enumeration order tends to follow the die layout, so the
-// next match is usually adjacent). It assumes one CPU per tile (no SMT
-// siblings sharing a CHA) and gives up double-co-location detection —
-// the exhaustive sweep remains the verifier for that invariant — in
-// exchange for a near-n reduction in tests on cooperative orderings.
-// The degradation contract matches the exhaustive sweep: host faults
-// leave the CPU unmapped and recorded, a fault-free miss stays a strict
-// error.
-func (p *Prober) mapCoresGuided() ([]int, []Failure, error) {
-	var failures []Failure
-	mapping := make([]int, p.host.NumCPUs())
-	claimed := make([]bool, p.mon.NumCHA)
-	start := 0
-	for cpu := range mapping {
-		p.progress("core-to-cha", cpu, len(mapping))
-		mapping[cpu] = -1
-		var opErr error
-		opCHA := -1
-		for i := 0; i < p.mon.NumCHA; i++ {
-			cha := (start + i) % p.mon.NumCHA
-			if claimed[cha] {
-				continue
-			}
-			same, err := p.coLocated(cpu, cha)
-			if err != nil {
-				if cmerr.IsInterrupted(err) || p.opts.FailFast {
-					return nil, nil, err
-				}
-				opErr, opCHA = err, cha
-				continue
-			}
-			if same {
-				mapping[cpu] = cha
-				claimed[cha] = true
-				start = cha + 1
-				break
-			}
-		}
-		if mapping[cpu] == -1 {
-			err := cmerr.New(cmerr.Permanent, stage, "cpu %d matched no CHA", cpu).
-				OnCPU(cpu).WithOp("co-locate")
-			if opErr == nil {
-				return nil, nil, err
-			}
-			p.dropCore(cpu, opCHA, opErr)
-			failures = append(failures, Failure{
-				Op: "core-to-cha", CPU: cpu, SrcCHA: -1, DstCHA: -1, Err: opErr.Error(),
-			})
-		}
-	}
-	for _, cha := range mapping {
-		if cha >= 0 {
-			p.reg.Counter("probe/step1/mapped").Inc()
-		} else {
-			p.reg.Counter("probe/step1/unmapped").Inc()
-		}
-	}
-	return mapping, failures, nil
-}
-
-// MeasureTraffic runs one step-2 experiment: srcCPU repeatedly writes and
+// measureTraffic runs one step-2 experiment: srcCPU repeatedly writes and
 // sinkCPU repeatedly reads a cache line homed at the sink tile's slice, and
 // the ingress counters of every CHA classify who saw the data stream.
-func (p *Prober) MeasureTraffic(ctx context.Context, srcCPU, sinkCPU, srcCHA, sinkCHA int) (route.Observation, error) {
-	p.bind(ctx)
-	return p.measureTraffic(srcCPU, sinkCPU, srcCHA, sinkCHA)
-}
-
 func (p *Prober) measureTraffic(srcCPU, sinkCPU, srcCHA, sinkCHA int) (route.Observation, error) {
 	obs := route.Observation{SrcCHA: srcCHA, DstCHA: sinkCHA}
 	if err := p.ensureCalibrated(); err != nil {
@@ -848,7 +745,7 @@ func (p *Prober) measureTraffic(srcCPU, sinkCPU, srcCHA, sinkCHA int) (route.Obs
 	if err := p.resetRingCounters(); err != nil {
 		return obs, err
 	}
-	for i := 0; i < p.opts.TrafficIters; i++ {
+	for i := 0; i < trafficIters; i++ {
 		if err := p.host.Store(srcCPU, addr); err != nil {
 			return obs, cmerr.Ensure(cmerr.Permanent, stage, err)
 		}
@@ -856,7 +753,7 @@ func (p *Prober) measureTraffic(srcCPU, sinkCPU, srcCHA, sinkCHA int) (route.Obs
 			return obs, cmerr.Ensure(cmerr.Permanent, stage, err)
 		}
 	}
-	threshold := p.counterThreshold(p.opts.TrafficIters*2, uint64(p.opts.TrafficIters)*8)
+	threshold := p.counterThreshold(trafficIters*2, trafficIters*8)
 	if err := p.collectObservation(&obs, threshold); err != nil {
 		return obs, err
 	}
@@ -900,24 +797,19 @@ func (p *Prober) collectObservation(obs *route.Observation, threshold uint64) er
 	return nil
 }
 
-// MeasureSliceTraffic runs a read-only experiment between an LLC slice and
+// measureSliceTraffic runs a read-only experiment between an LLC slice and
 // a core: the core cycles loads over the slice's eviction set, so cache-
 // line data streams unidirectionally from the slice's tile to the core's
 // tile (clean evictions produce no write-back). This extends the paper's
 // core-pair experiments to LLC-only tiles, which can serve as a traffic
 // *source* even though they cannot host a thread.
-func (p *Prober) MeasureSliceTraffic(ctx context.Context, coreCPU, coreCHA, sliceCHA int) (route.Observation, error) {
-	p.bind(ctx)
-	return p.measureSliceTraffic(coreCPU, coreCHA, sliceCHA)
-}
-
 func (p *Prober) measureSliceTraffic(coreCPU, coreCHA, sliceCHA int) (route.Observation, error) {
 	obs := route.Observation{SrcCHA: sliceCHA, DstCHA: coreCHA}
 	if err := p.ensureCalibrated(); err != nil {
 		return obs, err
 	}
 	set := p.homes[sliceCHA]
-	if len(set) <= p.opts.L2Ways {
+	if len(set) <= cache.DefaultConfig.L2Ways {
 		return obs, cmerr.New(cmerr.Permanent, stage, "no eviction set for CHA %d", sliceCHA).AtCHA(sliceCHA)
 	}
 	// Warm pass: clear any foreign ownership left by home discovery.
@@ -929,39 +821,34 @@ func (p *Prober) measureSliceTraffic(coreCPU, coreCHA, sliceCHA int) (route.Obse
 	if err := p.resetRingCounters(); err != nil {
 		return obs, err
 	}
-	for i := 0; i < p.opts.TrafficIters; i++ {
+	for i := 0; i < trafficIters; i++ {
 		for _, addr := range set {
 			if err := p.host.Load(coreCPU, addr); err != nil {
 				return obs, cmerr.Ensure(cmerr.Permanent, stage, err)
 			}
 		}
 	}
-	threshold := p.counterThreshold(p.opts.TrafficIters*len(set),
-		uint64(p.opts.TrafficIters)*uint64(len(set))*4)
+	threshold := p.counterThreshold(trafficIters*len(set),
+		uint64(trafficIters)*uint64(len(set))*4)
 	if err := p.collectObservation(&obs, threshold); err != nil {
 		return obs, err
 	}
 	return obs, nil
 }
 
-// MeasureRequestTraffic monitors the AD (request) ring while a core cycles
+// measureRequestTraffic monitors the AD (request) ring while a core cycles
 // loads over a slice's eviction set: every miss sends a request flit from
 // the core's tile to the slice's tile, a directed core→slice path. For
 // LLC-only tiles this is the only way to observe them as a traffic *sink*
 // (they cannot host a receiving thread), complementing the fill-based
 // slice-source observations.
-func (p *Prober) MeasureRequestTraffic(ctx context.Context, coreCPU, coreCHA, sliceCHA int) (route.Observation, error) {
-	p.bind(ctx)
-	return p.measureRequestTraffic(coreCPU, coreCHA, sliceCHA)
-}
-
 func (p *Prober) measureRequestTraffic(coreCPU, coreCHA, sliceCHA int) (route.Observation, error) {
 	obs := route.Observation{SrcCHA: coreCHA, DstCHA: sliceCHA}
 	if err := p.ensureCalibrated(); err != nil {
 		return obs, err
 	}
 	set := p.homes[sliceCHA]
-	if len(set) <= p.opts.L2Ways {
+	if len(set) <= cache.DefaultConfig.L2Ways {
 		return obs, cmerr.New(cmerr.Permanent, stage, "no eviction set for CHA %d", sliceCHA).AtCHA(sliceCHA)
 	}
 	// Warm pass (ownership transfers off the measured window).
@@ -973,17 +860,17 @@ func (p *Prober) measureRequestTraffic(coreCPU, coreCHA, sliceCHA int) (route.Ob
 	if err := p.resetRingCountersOn(pmon.EvVertRingADInUse, pmon.EvHorzRingADInUse); err != nil {
 		return obs, err
 	}
-	for i := 0; i < p.opts.TrafficIters; i++ {
+	for i := 0; i < trafficIters; i++ {
 		for _, addr := range set {
 			if err := p.host.Load(coreCPU, addr); err != nil {
 				return obs, cmerr.Ensure(cmerr.Permanent, stage, err)
 			}
 		}
 	}
-	// Each miss sends one fill request and each eviction one more; about
-	// two AD flits per access reach every on-path counter.
-	threshold := p.counterThreshold(p.opts.TrafficIters*len(set),
-		uint64(p.opts.TrafficIters)*uint64(len(set)))
+	// The threshold credits every on-path counter with one AD flit per
+	// access (the miss's fill request), trafficIters×|set| in all.
+	threshold := p.counterThreshold(trafficIters*len(set),
+		uint64(trafficIters)*uint64(len(set)))
 	if err := p.collectObservation(&obs, threshold); err != nil {
 		return obs, err
 	}
@@ -1024,7 +911,7 @@ func (p *Prober) measureMemoryTraffic(cpu, coreCHA, imc, numIMC int) (route.Obse
 	if err := p.resetRingCounters(); err != nil {
 		return obs, err
 	}
-	for i := 0; i < p.opts.TrafficIters; i++ {
+	for i := 0; i < trafficIters; i++ {
 		for _, addr := range lines {
 			if err := p.host.Flush(cpu, addr); err != nil {
 				return obs, cmerr.Ensure(cmerr.Permanent, stage, err)
@@ -1034,8 +921,8 @@ func (p *Prober) measureMemoryTraffic(cpu, coreCHA, imc, numIMC int) (route.Obse
 			}
 		}
 	}
-	threshold := p.counterThreshold(p.opts.TrafficIters*len(lines)*2,
-		uint64(p.opts.TrafficIters)*uint64(len(lines))*4)
+	threshold := p.counterThreshold(trafficIters*len(lines)*2,
+		uint64(trafficIters)*uint64(len(lines))*4)
 	if err := p.collectObservation(&obs, threshold); err != nil {
 		return obs, err
 	}
@@ -1085,20 +972,12 @@ func (p *Prober) RunWith(ctx context.Context, ro RunOptions) (res *Result, err e
 		return p.runWith(ppin, ro)
 	}
 	key := p.runKey(ppin, ro)
-	var partial *Result
-	v, err := c.full.Do(key, func() (any, error) {
-		res, err := p.runWith(ppin, ro)
-		if err != nil {
-			partial = res
-			return nil, err
-		}
-		return res, nil
-	})
+	v, err := c.full.Do(key, func() (any, error) { return p.runWith(ppin, ro) })
 	if err != nil {
-		if cmerr.IsInterrupted(err) || cmerr.IsDegraded(err) {
+		if cmerr.IsInterrupted(err) {
 			c.full.Forget(key)
 		}
-		return partial, err
+		return nil, err
 	}
 	res = v.(*Result)
 	if res.Degraded {
@@ -1107,34 +986,45 @@ func (p *Prober) RunWith(ctx context.Context, ro RunOptions) (res *Result, err e
 	return res.clone(), nil
 }
 
-// runWith dispatches one uncached survey to the exhaustive or planned
-// step-2 collector and publishes probe/ops_per_map — the host operations
-// this map cost, the metric the adaptive planner exists to shrink.
+// runWith runs one uncached survey: step 1, then the exhaustive or the
+// planned step-2 sweep, then the degradation tail. It publishes
+// probe/ops_per_map — the host operations this map cost, the metric the
+// adaptive planner exists to shrink.
 func (p *Prober) runWith(ppin uint64, ro RunOptions) (*Result, error) {
 	before := p.reg.Snapshot()
-	var res *Result
-	var err error
+	mapping, failures, err := p.runStep1()
+	if err != nil {
+		return nil, err
+	}
+	res, skip, experiment := p.initRun(ppin, mapping, failures, ro)
 	if p.opts.Plan != nil {
-		res, err = p.runPlanned(ppin, ro)
+		err = p.runPlanned(res, ro, skip, experiment)
 	} else {
-		res, err = p.runExhaustive(ppin, ro)
+		err = p.eachCandidate(res, ro, skip, func(c plan.Candidate) error {
+			_, err := experiment(c)
+			return err
+		})
 	}
-	if res != nil {
-		ops := p.reg.Snapshot().Sub(before).Total("host/ops/")
-		p.reg.Gauge("probe/ops_per_map").Set(int64(ops))
+	if err != nil {
+		return nil, err
 	}
-	return res, err
+	res.Degraded = len(res.Failures) > 0 || res.Completed < res.Planned
+	p.reg.Gauge("probe/coverage_permille").Set(int64(res.Coverage() * 1000))
+	ops := p.reg.Snapshot().Sub(before).Total("host/ops/")
+	p.reg.Gauge("probe/ops_per_map").Set(int64(ops))
+	return res, nil
 }
 
-// expFunc runs one planned measurement and reports whether an
-// observation was recorded (false: skipped or degraded-around failure);
-// a non-nil error aborts the run.
-type expFunc func(op string, cpu, srcCHA, dstCHA int, skip bool, run func() (route.Observation, error)) (bool, error)
+// expFunc measures one step-2 candidate and reports whether an
+// observation was recorded (false: a degraded-around failure); a non-nil
+// error aborts the run.
+type expFunc func(c plan.Candidate) (bool, error)
 
-// initRun builds the Result shell shared by both collectors and the
-// experiment closure that funnels every measurement through the
-// degradation contract.
-func (p *Prober) initRun(ppin uint64, mapping []int, failures []Failure) (*Result, expFunc) {
+// initRun builds the Result shell shared by both sweeps and the two
+// closures every step-2 experiment passes through: skip counts an
+// experiment that an unmapped CPU rules out, and experiment measures one
+// candidate under the degradation contract.
+func (p *Prober) initRun(ppin uint64, mapping []int, failures []Failure, ro RunOptions) (*Result, func(op string), expFunc) {
 	res := &Result{
 		PPIN:     ppin,
 		NumCHA:   p.mon.NumCHA,
@@ -1148,32 +1038,8 @@ func (p *Prober) initRun(ppin uint64, mapping []int, failures []Failure) (*Resul
 	}
 	sortInts(res.CoreCHAs)
 
-	// fail records one permanently failed experiment; interrupted errors
-	// abort the run instead (and so does any failure under FailFast).
-	// Each absorbed failure also lands in the flight recorder as an
-	// event carrying full cmerr provenance — absorbing a failure into
-	// Failures is exactly the moment a degraded run loses the error from
-	// its return path, so the black box is the only place a post-mortem
-	// can still find the (stage, op, CPU, CHA) coordinates.
-	fail := func(op string, cpu, srcCHA, dstCHA int, err error) error {
-		if cmerr.IsInterrupted(err) || p.opts.FailFast {
-			return err
-		}
-		cha := srcCHA
-		if cha < 0 {
-			cha = dstCHA
-		}
-		obs.Event(p.ctx, "probe/experiment-failed",
-			cmerr.Wrapf(cmerr.Permanent, stage, err, "%s experiment dropped", op).
-				WithOp(op).OnCPU(cpu).AtCHA(cha))
-		res.Failures = append(res.Failures, Failure{
-			Op: op, CPU: cpu, SrcCHA: srcCHA, DstCHA: dstCHA, Err: err.Error(),
-		})
-		return nil
-	}
-	// experiment wraps one planned measurement: skipped units (unmapped
-	// CPUs) count against coverage without running anything. The four
-	// probe/experiments/* counters partition planned exactly into
+	// Skipped units count against coverage without running anything. The
+	// four probe/experiments/* counters partition planned exactly into
 	// completed + failed + skipped, which is what lets the RunReport
 	// reconcile against Result.Planned/Completed.
 	planned := p.reg.Counter("probe/experiments/planned")
@@ -1181,166 +1047,153 @@ func (p *Prober) initRun(ppin uint64, mapping []int, failures []Failure) (*Resul
 	failed := p.reg.Counter("probe/experiments/failed")
 	skipped := p.reg.Counter("probe/experiments/skipped")
 	byOp := p.reg.CounterVec("probe/experiments_by_op", "op")
-	experiment := func(op string, cpu, srcCHA, dstCHA int, skip bool, run func() (route.Observation, error)) (bool, error) {
+	skip := func(op string) {
 		res.Planned++
 		planned.Inc()
 		byOp.With(op).Inc()
-		if skip {
-			skipped.Inc()
-			return false, nil
-		}
-		obs, err := run()
+		skipped.Inc()
+	}
+	// A permanently failed experiment is recorded in Failures; an
+	// interrupted one aborts the run instead. Each absorbed failure also
+	// lands in the flight recorder as an event carrying full cmerr
+	// provenance — absorbing a failure into Failures is exactly the
+	// moment a degraded run loses the error from its return path, so the
+	// black box is the only place a post-mortem can still find the
+	// (stage, op, CPU, CHA) coordinates.
+	experiment := func(c plan.Candidate) (bool, error) {
+		op := c.Kind.Op()
+		res.Planned++
+		planned.Inc()
+		byOp.With(op).Inc()
+		o, err := p.measure(c, ro.NumIMCs)
 		if err != nil {
-			if ferr := fail(op, cpu, srcCHA, dstCHA, err); ferr != nil {
-				return false, ferr
+			if cmerr.IsInterrupted(err) {
+				return false, err
 			}
+			// The CPU that runs the experiment: the source core, or the
+			// sink core when a slice or a controller is the source.
+			cpu := c.SrcCPU
+			if cpu < 0 {
+				cpu = c.DstCPU
+			}
+			cha := c.SrcCHA
+			if cha < 0 {
+				cha = c.DstCHA
+			}
+			obs.Event(p.ctx, "probe/experiment-failed",
+				cmerr.Wrapf(cmerr.Permanent, stage, err, "%s experiment dropped", op).
+					WithOp(op).OnCPU(cpu).AtCHA(cha))
+			res.Failures = append(res.Failures, Failure{
+				Op: op, CPU: cpu, SrcCHA: c.SrcCHA, DstCHA: c.DstCHA, Err: err.Error(),
+			})
 			failed.Inc()
 			return false, nil
 		}
 		res.Completed++
 		completed.Inc()
-		res.Observations = append(res.Observations, obs)
+		res.Observations = append(res.Observations, o)
 		return true, nil
 	}
-	return res, experiment
+	return res, skip, experiment
 }
 
-// finishRun applies the shared degradation/coverage tail of a survey.
-func (p *Prober) finishRun(res *Result) error {
-	res.Degraded = len(res.Failures) > 0 || res.Completed < res.Planned
-	p.reg.Gauge("probe/coverage_permille").Set(int64(res.Coverage() * 1000))
-	if f := p.opts.MinCoverage; f > 0 && res.Coverage() < f {
-		return cmerr.New(cmerr.Degraded, stage,
-			"experiment coverage %.3f below floor %.3f (%d/%d completed, %d failures)",
-			res.Coverage(), f, res.Completed, res.Planned, len(res.Failures))
+// measure runs the step-2 experiment candidate c names.
+func (p *Prober) measure(c plan.Candidate, numIMCs int) (route.Observation, error) {
+	switch c.Kind {
+	case plan.KindPair:
+		return p.measureTraffic(c.SrcCPU, c.DstCPU, c.SrcCHA, c.DstCHA)
+	case plan.KindSlice:
+		return p.measureSliceTraffic(c.DstCPU, c.DstCHA, c.SrcCHA)
+	case plan.KindRequest:
+		return p.measureRequestTraffic(c.SrcCPU, c.SrcCHA, c.DstCHA)
+	case plan.KindMemory:
+		return p.measureMemoryTraffic(c.DstCPU, c.DstCHA, c.IMC, numIMCs)
 	}
-	return nil
+	return route.Observation{}, cmerr.New(cmerr.Permanent, stage, "unknown candidate kind %d", c.Kind)
 }
 
-func (p *Prober) runExhaustive(ppin uint64, ro RunOptions) (*Result, error) {
-	mapping, failures, err := p.runStep1()
-	if err != nil {
-		return nil, err
-	}
-	res, experiment := p.initRun(ppin, mapping, failures)
-
+// eachCandidate walks step 2's experiments in one fixed order: every
+// ordered core pair, then (with ro.SliceSources) a slice and a request
+// experiment per LLC-only slice and core, then a memory experiment per
+// controller (ro.NumIMCs) and core. An experiment that needs a CPU step 1
+// left unmapped is counted by skip; every other one goes to visit, and a
+// visit error stops the walk. The exhaustive sweep measures each
+// candidate as it is visited; the planned sweep collects them into the
+// planner's pool, whose indices are then a deterministic tie-break.
+func (p *Prober) eachCandidate(res *Result, ro RunOptions, skip func(op string), visit func(plan.Candidate) error) error {
+	mapping := res.OSToCHA
 	n := len(mapping)
 	for src := 0; src < n; src++ {
-		p.progress("pair-traffic", src, n)
-		for sink := 0; sink < n; sink++ {
-			if src == sink {
-				continue
-			}
-			srcCHA, sinkCHA := mapping[src], mapping[sink]
-			src, sink := src, sink
-			_, err := experiment("pair", src, srcCHA, sinkCHA, srcCHA < 0 || sinkCHA < 0,
-				func() (route.Observation, error) { return p.measureTraffic(src, sink, srcCHA, sinkCHA) })
-			if err != nil {
-				return nil, err
-			}
+		if p.opts.Plan == nil {
+			// Only the exhaustive sweep measures as it walks, so only its
+			// walk is progress.
+			p.progress("pair-traffic", src, n)
 		}
-	}
-	if ro.SliceSources {
-		for _, sliceCHA := range res.LLCOnlyCHAs() {
-			for cpu, coreCHA := range mapping {
-				sliceCHA, cpu, coreCHA := sliceCHA, cpu, coreCHA
-				_, err := experiment("slice", cpu, sliceCHA, coreCHA, coreCHA < 0,
-					func() (route.Observation, error) { return p.measureSliceTraffic(cpu, coreCHA, sliceCHA) })
-				if err != nil {
-					return nil, err
-				}
-				_, err = experiment("request", cpu, coreCHA, sliceCHA, coreCHA < 0,
-					func() (route.Observation, error) { return p.measureRequestTraffic(cpu, coreCHA, sliceCHA) })
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	for imc := 0; imc < ro.NumIMCs; imc++ {
-		for cpu, coreCHA := range mapping {
-			imc, cpu, coreCHA := imc, cpu, coreCHA
-			_, err := experiment("memory", cpu, -1, coreCHA, coreCHA < 0,
-				func() (route.Observation, error) { return p.measureMemoryTraffic(cpu, coreCHA, imc, ro.NumIMCs) })
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := p.finishRun(res); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// runPlanned is the adaptive step-2 collector. It builds the same
-// candidate pool the exhaustive sweep would walk — in the same order, so
-// pool indices are a deterministic tie-break — skip-counts unmapped
-// combinations identically, and then lets the planner choose which
-// candidates to measure. Candidates the planner never issues are simply
-// absent from Result.Planned: coverage remains "completed / attempted",
-// and plan/skipped records how much of the exhaustive sweep was avoided.
-func (p *Prober) runPlanned(ppin uint64, ro RunOptions) (*Result, error) {
-	mapping, failures, err := p.runStep1()
-	if err != nil {
-		return nil, err
-	}
-	res, experiment := p.initRun(ppin, mapping, failures)
-
-	var cands []plan.Candidate
-	n := len(mapping)
-	for src := 0; src < n; src++ {
 		for sink := 0; sink < n; sink++ {
 			if src == sink {
 				continue
 			}
 			srcCHA, sinkCHA := mapping[src], mapping[sink]
 			if srcCHA < 0 || sinkCHA < 0 {
-				if _, err := experiment("pair", src, srcCHA, sinkCHA, true, nil); err != nil {
-					return nil, err
-				}
+				skip("pair")
 				continue
 			}
-			cands = append(cands, plan.Candidate{
-				Kind: plan.KindPair, SrcCHA: srcCHA, DstCHA: sinkCHA, SrcCPU: src, DstCPU: sink,
-			})
+			err := visit(plan.Candidate{Kind: plan.KindPair, SrcCHA: srcCHA, DstCHA: sinkCHA, SrcCPU: src, DstCPU: sink})
+			if err != nil {
+				return err
+			}
 		}
 	}
 	if ro.SliceSources {
 		for _, sliceCHA := range res.LLCOnlyCHAs() {
 			for cpu, coreCHA := range mapping {
 				if coreCHA < 0 {
-					if _, err := experiment("slice", cpu, sliceCHA, coreCHA, true, nil); err != nil {
-						return nil, err
-					}
-					if _, err := experiment("request", cpu, coreCHA, sliceCHA, true, nil); err != nil {
-						return nil, err
-					}
+					skip("slice")
+					skip("request")
 					continue
 				}
-				cands = append(cands,
-					plan.Candidate{Kind: plan.KindSlice, SrcCHA: sliceCHA, DstCHA: coreCHA, SrcCPU: -1, DstCPU: cpu},
-					plan.Candidate{Kind: plan.KindRequest, SrcCHA: coreCHA, DstCHA: sliceCHA, SrcCPU: cpu, DstCPU: -1})
+				err := visit(plan.Candidate{Kind: plan.KindSlice, SrcCHA: sliceCHA, DstCHA: coreCHA, SrcCPU: -1, DstCPU: cpu})
+				if err != nil {
+					return err
+				}
+				err = visit(plan.Candidate{Kind: plan.KindRequest, SrcCHA: coreCHA, DstCHA: sliceCHA, SrcCPU: cpu, DstCPU: -1})
+				if err != nil {
+					return err
+				}
 			}
 		}
 	}
 	for imc := 0; imc < ro.NumIMCs; imc++ {
 		for cpu, coreCHA := range mapping {
 			if coreCHA < 0 {
-				if _, err := experiment("memory", cpu, -1, coreCHA, true, nil); err != nil {
-					return nil, err
-				}
+				skip("memory")
 				continue
 			}
-			cands = append(cands, plan.Candidate{
-				Kind: plan.KindMemory, SrcCHA: -1, DstCHA: coreCHA, IMC: imc, SrcCPU: -1, DstCPU: cpu,
-			})
+			err := visit(plan.Candidate{Kind: plan.KindMemory, SrcCHA: -1, DstCHA: coreCHA, IMC: imc, SrcCPU: -1, DstCPU: cpu})
+			if err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
 
+// runPlanned is the adaptive step-2 sweep. It hands the planner the
+// candidate pool the exhaustive sweep walks and lets it choose which
+// candidates to measure. Candidates the planner never issues are simply
+// absent from Result.Planned: coverage remains "completed / attempted",
+// and plan/skipped records how much of the exhaustive sweep was avoided.
+func (p *Prober) runPlanned(res *Result, ro RunOptions, skip func(op string), experiment expFunc) error {
+	var cands []plan.Candidate
+	if err := p.eachCandidate(res, ro, skip, func(c plan.Candidate) error {
+		cands = append(cands, c)
+		return nil
+	}); err != nil {
+		return err
+	}
 	pm, err := plan.New(*p.opts.Plan, p.mon.NumCHA, cands)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	round := 0
 	roundCost := p.reg.Histogram("plan/round_cost")
@@ -1348,7 +1201,7 @@ func (p *Prober) runPlanned(ppin uint64, ro RunOptions) (*Result, error) {
 	for {
 		batch, err := pm.NextBatch(p.ctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if len(batch) == 0 {
 			break
@@ -1357,9 +1210,9 @@ func (p *Prober) runPlanned(ppin uint64, ro RunOptions) (*Result, error) {
 		round++
 		roundStart := p.clock.Now()
 		for _, ci := range batch {
-			done, err := p.runCandidate(experiment, pm.Candidate(ci), ro)
+			done, err := experiment(pm.Candidate(ci))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if done {
 				pm.Observe(ci, res.Observations[len(res.Observations)-1])
@@ -1386,10 +1239,7 @@ func (p *Prober) runPlanned(ppin uint64, ro RunOptions) (*Result, error) {
 	p.reg.Gauge("plan/ambiguity").Set(int64(st.Ambiguity))
 	p.reg.Gauge("plan/converged").Set(b2g(st.Converged))
 	p.reg.Gauge("plan/fallback").Set(b2g(st.Fallback))
-	if err := p.finishRun(res); err != nil {
-		return res, err
-	}
-	return res, nil
+	return nil
 }
 
 func b2g(b bool) int64 {
@@ -1397,29 +1247,6 @@ func b2g(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// runCandidate executes one planner-issued candidate through the shared
-// experiment path, with the same op labels, failure records and
-// measurement calls as the exhaustive sweep.
-func (p *Prober) runCandidate(experiment expFunc, c plan.Candidate, ro RunOptions) (bool, error) {
-	switch c.Kind {
-	case plan.KindPair:
-		return experiment("pair", c.SrcCPU, c.SrcCHA, c.DstCHA, false,
-			func() (route.Observation, error) { return p.measureTraffic(c.SrcCPU, c.DstCPU, c.SrcCHA, c.DstCHA) })
-	case plan.KindSlice:
-		return experiment("slice", c.DstCPU, c.SrcCHA, c.DstCHA, false,
-			func() (route.Observation, error) { return p.measureSliceTraffic(c.DstCPU, c.DstCHA, c.SrcCHA) })
-	case plan.KindRequest:
-		return experiment("request", c.SrcCPU, c.SrcCHA, c.DstCHA, false,
-			func() (route.Observation, error) { return p.measureRequestTraffic(c.SrcCPU, c.SrcCHA, c.DstCHA) })
-	case plan.KindMemory:
-		return experiment("memory", c.DstCPU, -1, c.DstCHA, false,
-			func() (route.Observation, error) {
-				return p.measureMemoryTraffic(c.DstCPU, c.DstCHA, c.IMC, ro.NumIMCs)
-			})
-	}
-	return false, cmerr.New(cmerr.Permanent, stage, "unknown candidate kind %d", c.Kind)
 }
 
 // runStep1 is mapCoresToCHAs routed through the step-1 cache when one is

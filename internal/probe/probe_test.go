@@ -4,8 +4,11 @@ import (
 	"context"
 	"testing"
 
+	"coremap/internal/cache"
 	"coremap/internal/machine"
 	"coremap/internal/mesh"
+	"coremap/internal/obs"
+	"coremap/internal/plan"
 )
 
 func newProber(t *testing.T, m *machine.Machine) *Prober {
@@ -42,9 +45,10 @@ func TestReadPPIN(t *testing.T) {
 func TestFindLineHomeMatchesSecretHash(t *testing.T) {
 	m := machine.Generate(machine.SKU8175M, 0, machine.Config{Seed: 3})
 	p := newProber(t, m)
+	p.bind(context.Background())
 	for i := 0; i < 40; i++ {
 		addr := 0x10000000 + uint64(i)*4096
-		got, err := p.FindLineHome(context.Background(), addr)
+		got, err := p.findLineHome(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,20 +61,22 @@ func TestFindLineHomeMatchesSecretHash(t *testing.T) {
 func TestBuildEvictionSets(t *testing.T) {
 	m := machine.Generate(machine.SKU8259CL, 0, machine.Config{Seed: 4})
 	p := newProber(t, m)
-	if err := p.BuildEvictionSets(context.Background()); err != nil {
+	p.bind(context.Background())
+	if err := p.buildEvictionSets(); err != nil {
 		t.Fatal(err)
 	}
+	geom := cache.DefaultConfig
 	for cha := 0; cha < p.NumCHA(); cha++ {
-		set := p.EvictionSet(cha)
-		if len(set) != p.opts.L2Ways+1 {
-			t.Fatalf("CHA %d eviction set has %d lines, want %d", cha, len(set), p.opts.L2Ways+1)
+		set := p.homes[cha]
+		if len(set) != geom.L2Ways+1 {
+			t.Fatalf("CHA %d eviction set has %d lines, want %d", cha, len(set), geom.L2Ways+1)
 		}
-		wantSet := set[0] / 64 % uint64(p.opts.L2Sets)
+		wantSet := set[0] / 64 % uint64(geom.L2Sets)
 		for _, addr := range set {
 			if m.TrueHomeCHA(addr) != cha {
 				t.Errorf("CHA %d eviction set contains line %#x homed at CHA %d", cha, addr, m.TrueHomeCHA(addr))
 			}
-			if got := addr / 64 % uint64(p.opts.L2Sets); got != wantSet {
+			if got := addr / 64 % uint64(geom.L2Sets); got != wantSet {
 				t.Errorf("CHA %d eviction set mixes L2 sets (%d vs %d)", cha, got, wantSet)
 			}
 		}
@@ -151,10 +157,11 @@ func TestMeasureTrafficMatchesRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.bind(context.Background())
 	pairs := [][2]int{{0, 1}, {0, 23}, {5, 17}, {12, 3}, {20, 2}}
 	for _, pair := range pairs {
 		src, sink := pair[0], pair[1]
-		obs, err := p.MeasureTraffic(context.Background(), src, sink, mapping[src], mapping[sink])
+		obs, err := p.measureTraffic(src, sink, mapping[src], mapping[sink])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,9 +185,10 @@ func TestMeasureSliceTrafficMatchesRoute(t *testing.T) {
 	if len(llcOnly) != 2 {
 		t.Fatalf("8259CL reported %d LLC-only CHAs, want 2", len(llcOnly))
 	}
+	p.bind(context.Background())
 	for _, sliceCHA := range llcOnly {
 		for _, cpu := range []int{0, 11, 23} {
-			obs, err := p.MeasureSliceTraffic(context.Background(), cpu, mapping[cpu], sliceCHA)
+			obs, err := p.measureSliceTraffic(cpu, mapping[cpu], sliceCHA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +203,7 @@ func TestMeasureSliceTrafficMatchesRoute(t *testing.T) {
 			}
 			// The AD-ring request experiment observes the reverse path:
 			// core → slice.
-			req, err := p.MeasureRequestTraffic(context.Background(), cpu, mapping[cpu], sliceCHA)
+			req, err := p.measureRequestTraffic(cpu, mapping[cpu], sliceCHA)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,26 +269,41 @@ func TestRunIncludesSliceSourceObservations(t *testing.T) {
 	}
 }
 
-func TestProgressCallbacks(t *testing.T) {
-	m := machine.Generate(machine.SKU8124M, 0, machine.Config{Seed: 16})
-	stages := map[string]int{}
-	p, err := New(m, Options{Seed: 1, Progress: func(stage string, done, total int) {
-		if done < 0 || done >= total {
-			t.Errorf("progress %s: done %d outside [0,%d)", stage, done, total)
+// TestProgressGauges pins the probe/progress/* gauges a -debug-addr
+// snapshot shows: both step-1 sweeps report core-to-cha per CPU, the
+// exhaustive pair sweep reports pair-traffic per source CPU, and each
+// ends on its last unit.
+func TestProgressGauges(t *testing.T) {
+	sku := machine.SKU8124M
+	for _, planned := range []bool{false, true} {
+		m := machine.Generate(sku, 0, machine.Config{Seed: 16})
+		n := int64(m.NumCPUs())
+		opts := Options{Seed: 1}
+		if planned {
+			opts.Plan = &plan.Options{Rows: sku.Rows, Cols: sku.Cols, IMCPositions: sku.IMC}
 		}
-		stages[stage]++
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if stages["core-to-cha"] != m.NumCPUs() {
-		t.Errorf("core-to-cha callbacks = %d, want %d", stages["core-to-cha"], m.NumCPUs())
-	}
-	if stages["pair-traffic"] != m.NumCPUs() {
-		t.Errorf("pair-traffic callbacks = %d, want %d", stages["pair-traffic"], m.NumCPUs())
+		p, err := New(m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := obs.New(obs.Config{})
+		if _, err := p.Run(obs.With(context.Background(), tel)); err != nil {
+			t.Fatal(err)
+		}
+		g := tel.Registry().Snapshot().Gauges
+		want := map[string]int64{"core-to-cha_done": n - 1, "core-to-cha_total": n}
+		if planned {
+			if _, ok := g["probe/progress/pair-traffic_total"]; ok {
+				t.Error("planned run reported exhaustive pair-traffic progress")
+			}
+		} else {
+			want["pair-traffic_done"], want["pair-traffic_total"] = n-1, n
+		}
+		for name, v := range want {
+			if got, ok := g["probe/progress/"+name]; !ok || got != v {
+				t.Errorf("planned=%v: probe/progress/%s = %d (set %v), want %d", planned, name, got, ok, v)
+			}
+		}
 	}
 }
 
@@ -291,7 +314,8 @@ func TestObservationThresholdSuppressesNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := p.MeasureTraffic(context.Background(), 0, 1, mapping[0], mapping[1])
+	p.bind(context.Background())
+	obs, err := p.measureTraffic(0, 1, mapping[0], mapping[1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"coremap"
-	"coremap/internal/cmerr"
 	"coremap/internal/faulty"
 	"coremap/internal/machine"
 	"coremap/internal/mesh"
@@ -82,7 +81,7 @@ func TestPlannedSurveyMatchesExhaustiveUnderFaults(t *testing.T) {
 				Probe:  probe.Options{Seed: seed, RetryBackoff: time.Microsecond, OpRetries: 6},
 				NoPlan: noPlan,
 			})
-			if err != nil && !cmerr.IsDegraded(err) {
+			if err != nil {
 				t.Fatalf("seed %d noPlan=%v: hard error under 2%% faults: %v", seed, noPlan, err)
 			}
 			if res == nil {
