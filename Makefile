@@ -15,9 +15,10 @@ test:
 
 # Race-check the concurrent parts of the tree: the survey worker pools,
 # the covert-channel harness, the adaptive planner and the telemetry
-# layer, plus the ILP package whose enumeration they all call
-# concurrently — and the goroutine-leak check over cancelled
-# enumerations and maps (mirrors the CI race job).
+# registry (get-or-create from many goroutines while a snapshot runs,
+# TestRegistryConcurrentHammer), plus the ILP package whose enumeration
+# they all call concurrently — and the goroutine-leak check over
+# cancelled enumerations and maps (mirrors the CI race job).
 race:
 	go test -race ./internal/ilp/ ./internal/experiments/ ./internal/covert/ ./internal/plan/ ./internal/obs/ -timeout 1800s
 	go test -race -run 'TestEnumerateCancellation|TestMapMachineCancel' -count=1 ./internal/ilp/ . -timeout 300s

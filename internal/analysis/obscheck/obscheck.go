@@ -1,5 +1,5 @@
 // Package obscheck enforces the telemetry discipline of the obs
-// substrate. Three rules:
+// substrate. Two rules:
 //
 //   - span-end rule: every span returned by obs.Start must be ended on
 //     every control-flow path of the function that started it — via a
@@ -12,24 +12,18 @@
 //
 //   - name-grammar rule: every compile-time constant name handed to
 //     obs.Start, obs.Event or a Registry metric constructor (Counter,
-//     Gauge, Histogram, GaugeFunc, CounterVec, GaugeVec, HistogramVec)
-//     must be at least two slash-separated lowercase segments of
-//     [a-z0-9_-] — "stage/metric". The stage segment is what the
-//     per-stage report groups by, so a malformed name silently falls
-//     out of its aggregation. A constant prefix in a concatenation
-//     ("probe/progress/"+stage) must itself be lowercase and already
-//     contain the stage separator; fully dynamic names are skipped.
-//
-//   - label rule: label keys passed to vec constructors must be string
-//     literals matching [a-z][a-z0-9_]* (the exposition-format key
-//     grammar obs itself enforces at runtime — the lint moves the error
-//     to compile time), and a With call whose vec is resolvable in the
-//     same function (a chained constructor call or a local variable
-//     assigned from one) must pass exactly as many values as the
-//     constructor declared keys. Runtime misuse is not a panic — obs
-//     returns a no-op handle and bumps obs/vec_errors — which is
-//     exactly why the mistake belongs to the lint: the series would
-//     just silently never exist.
+//     Gauge, Histogram, GaugeFunc) must be at least two slash-separated
+//     lowercase segments of [a-z0-9_-] — "stage/metric" — optionally
+//     followed by one label suffix {key="value"}, key [a-z][a-z0-9_]*
+//     and value [a-z0-9_-]* (host/op_us{op="rdmsr"}). The stage segment
+//     is what the per-stage report groups by, so a malformed name
+//     silently falls out of its aggregation, and the suffix is copied
+//     verbatim into the Prometheus exposition. A constant prefix in a
+//     concatenation ("probe/progress/"+stage) must itself be lowercase
+//     and already contain the stage separator, or be a whole stage/metric
+//     name opening a label whose value is dynamic
+//     (`probe/experiments_by_op{op="`+op+`"}`); fully dynamic names are
+//     skipped.
 package obscheck
 
 import (
@@ -47,8 +41,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "obscheck",
 	Doc: "enforces telemetry discipline: spans ended on every path, " +
-		"stage/metric name grammar on constant obs names, " +
-		"literal well-formed vec label keys and matching With arity",
+		"stage/metric name grammar, with one optional {key=\"value\"} label, on constant obs names",
 	Run: run,
 	Scope: &analysis.Scope{
 		Doc:             "every internal library package and the commands (telemetry is wired in both)",
@@ -62,26 +55,20 @@ var Analyzer = &analysis.Analyzer{
 
 const obsPath = "coremap/internal/obs"
 
-// segmentRe is one name segment; nameRe is a constant prefix that may
-// legally be completed by a dynamic suffix.
+// segmentRe is one name segment; prefixRe is a constant prefix that may
+// legally be completed by a dynamic suffix; labelRe is the one optional
+// label suffix of a full name, and openLabelRe a constant head that ends
+// inside that suffix, its value completed dynamically.
 var (
-	segmentRe  = regexp.MustCompile(`^[a-z0-9_-]+$`)
-	prefixRe   = regexp.MustCompile(`^[a-z0-9_/-]+$`)
-	labelKeyRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+	segmentRe   = regexp.MustCompile(`^[a-z0-9_-]+$`)
+	prefixRe    = regexp.MustCompile(`^[a-z0-9_/-]+$`)
+	labelRe     = regexp.MustCompile(`\{[a-z][a-z0-9_]*="[a-z0-9_-]*"\}$`)
+	openLabelRe = regexp.MustCompile(`\{[a-z][a-z0-9_]*="$`)
 )
 
-// metricCtors are the Registry methods taking a metric name first; the
-// value is the index the label keys start at for vec constructors, or 0
-// for plain metrics.
+// metricCtors are the Registry methods taking a metric name first.
 var metricCtors = map[string]bool{
 	"Counter": true, "Gauge": true, "Histogram": true, "GaugeFunc": true,
-	"CounterVec": true, "GaugeVec": true, "HistogramVec": true,
-}
-
-// vecCtors are the constructors whose trailing arguments are label keys
-// and whose handles answer With.
-var vecCtors = map[string]bool{
-	"CounterVec": true, "GaugeVec": true, "HistogramVec": true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -91,20 +78,19 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkScope(pass, fd.Body)
+			checkSpans(pass, fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					checkScope(pass, lit.Body)
+					checkSpans(pass, lit.Body)
 				}
 				return true
 			})
 		}
-		// Names and labels also appear outside function bodies (package
-		// variable initializers); the per-call rules cover the whole file.
+		// Names also appear outside function bodies (package variable
+		// initializers); the name rule covers the whole file.
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				checkName(pass, call)
-				checkLabels(pass, call)
 			}
 			return true
 		})
@@ -112,17 +98,11 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkScope applies the per-function rules — span lifetime and With
-// arity — to one body, treating nested closures as separate scopes (a
-// closure runs on its own schedule, so spans it starts are its own to
-// end).
-func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
-	checkSpans(pass, body)
-	checkWithArity(pass, body)
-}
-
 // --- span-end rule ---
 
+// checkSpans applies the span-end rule to one body, treating nested
+// closures as separate scopes (a closure runs on its own schedule, so
+// spans it starts are its own to end).
 func checkSpans(pass *analysis.Pass, body *ast.BlockStmt) {
 	var g *cfg.Graph // built lazily: most bodies start no spans
 	analysis.InspectShallow(body, func(n ast.Node) bool {
@@ -352,17 +332,15 @@ func checkName(pass *analysis.Pass, call *ast.CallExpr) {
 	if name, ok := analysis.ConstString(pass, nameArg); ok {
 		if !validFullName(name) {
 			pass.Reportf(nameArg.Pos(),
-				"obs name %q is not stage/metric form: want two or more slash-separated lowercase segments of [a-z0-9_-], so the per-stage report can group it", name)
+				"obs name %q is not stage/metric form: want two or more slash-separated lowercase segments of [a-z0-9_-], so the per-stage report can group it, and at most one {key=\"value\"} label suffix", name)
 		}
 		return
 	}
 	// Concatenation with a constant head: the head must already be a
 	// well-formed prefix carrying the stage separator.
-	if prefix, pos, ok := constHead(pass, nameArg); ok {
-		if !prefixRe.MatchString(prefix) || !strings.Contains(prefix, "/") {
-			pass.Reportf(pos,
-				"obs name prefix %q must be lowercase [a-z0-9_/-] and already contain the stage separator '/'", prefix)
-		}
+	if prefix, pos, ok := constHead(pass, nameArg); ok && !validPrefix(prefix) {
+		pass.Reportf(pos,
+			"obs name prefix %q must be lowercase [a-z0-9_/-] and already contain the stage separator '/', or be a stage/metric name opening a {key=\" label", prefix)
 	}
 }
 
@@ -378,8 +356,12 @@ func isRegistryMethod(pass *analysis.Pass, call *ast.CallExpr) bool {
 		analysis.IsNamedType(sig.Recv().Type(), obsPath, "Registry")
 }
 
-// validFullName checks the complete stage/metric grammar.
+// validFullName checks the complete stage/metric grammar, label suffix
+// included.
 func validFullName(name string) bool {
+	if loc := labelRe.FindStringIndex(name); loc != nil {
+		name = name[:loc[0]]
+	}
 	segs := strings.Split(name, "/")
 	if len(segs) < 2 {
 		return false
@@ -390,6 +372,16 @@ func validFullName(name string) bool {
 		}
 	}
 	return true
+}
+
+// validPrefix checks the constant head of a concatenated name: a prefix
+// that already carries the stage separator, or a whole stage/metric name
+// followed by an opened label.
+func validPrefix(prefix string) bool {
+	if loc := openLabelRe.FindStringIndex(prefix); loc != nil {
+		return validFullName(prefix[:loc[0]])
+	}
+	return prefixRe.MatchString(prefix) && strings.Contains(prefix, "/")
 }
 
 // constHead returns the leftmost compile-time-constant operand of a
@@ -406,115 +398,4 @@ func constHead(pass *analysis.Pass, e ast.Expr) (string, token.Pos, bool) {
 		}
 		e = bin.X
 	}
-}
-
-// --- label rule ---
-
-// checkLabels validates the label-key arguments of vec constructors.
-func checkLabels(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := analysis.CalleeFunc(pass, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != obsPath || !vecCtors[fn.Name()] {
-		return
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !analysis.IsNamedType(sig.Recv().Type(), obsPath, "Registry") {
-		return
-	}
-	for _, arg := range call.Args[1:] {
-		key, ok := analysis.ConstString(pass, arg)
-		if !ok {
-			pass.Reportf(arg.Pos(),
-				"obs label keys must be string literals so cardinality is reviewable in the source")
-			continue
-		}
-		if !labelKeyRe.MatchString(key) {
-			pass.Reportf(arg.Pos(),
-				"obs label key %q must match [a-z][a-z0-9_]* (the exposition key grammar; obs would drop the series at runtime)", key)
-		}
-	}
-}
-
-// checkWithArity pins With calls against the declared key count when the
-// vec is resolvable within the function: either a chained constructor
-// call or a local variable assigned (exactly once) from one.
-func checkWithArity(pass *analysis.Pass, body *ast.BlockStmt) {
-	// Local vec variables: object -> declared key count, -1 once the
-	// variable is reassigned and the count stops being trustworthy.
-	keyCounts := make(map[types.Object]int)
-	analysis.InspectShallow(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return true
-		}
-		obj := pass.ObjectOf(id)
-		if obj == nil {
-			return true
-		}
-		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok && isVecCtor(pass, call) {
-			if _, seen := keyCounts[obj]; seen {
-				keyCounts[obj] = -1
-			} else {
-				keyCounts[obj] = len(call.Args) - 1
-			}
-		} else if _, seen := keyCounts[obj]; seen {
-			keyCounts[obj] = -1
-		}
-		return true
-	})
-
-	analysis.InspectShallow(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !isWithCall(pass, call) {
-			return true
-		}
-		sel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		want := -1
-		switch recv := ast.Unparen(sel.X).(type) {
-		case *ast.CallExpr:
-			if isVecCtor(pass, recv) {
-				want = len(recv.Args) - 1
-			}
-		case *ast.Ident:
-			if c, ok := keyCounts[pass.ObjectOf(recv)]; ok {
-				want = c
-			}
-		}
-		if want >= 0 && len(call.Args) != want {
-			pass.Reportf(call.Pos(),
-				"With has %d label values for a vec declared with %d keys: obs would return a no-op handle and the series would never exist", len(call.Args), want)
-		}
-		return true
-	})
-}
-
-// isVecCtor reports whether call is a Registry vec constructor.
-func isVecCtor(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := analysis.CalleeFunc(pass, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != obsPath || !vecCtors[fn.Name()] {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() != nil && analysis.IsNamedType(sig.Recv().Type(), obsPath, "Registry")
-}
-
-// isWithCall reports whether call is With on one of the obs vec types.
-func isWithCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	fn := analysis.CalleeFunc(pass, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != obsPath || fn.Name() != "With" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	for _, t := range []string{"CounterVec", "GaugeVec", "HistogramVec"} {
-		if analysis.IsNamedType(sig.Recv().Type(), obsPath, t) {
-			return true
-		}
-	}
-	return false
 }

@@ -21,7 +21,7 @@ var analyzers = []*analysis.Analyzer{gosync.Analyzer, obscheck.Analyzer}
 
 // TestFlagged pins the violation shapes: spans leaked past an early
 // return or a switch, discarded spans, malformed names and prefixes,
-// bad label keys, and With arity mismatches.
+// and malformed label suffixes.
 func TestFlagged(t *testing.T) {
 	analysistest.RunWithDeps(t, filepath.Join("testdata", "flagged"), obsDeps, analyzers...)
 }
@@ -29,7 +29,7 @@ func TestFlagged(t *testing.T) {
 // TestClean pins the no-false-positive surface: deferred End (direct
 // and inside a closure), End on every explicit path, escaping spans,
 // dynamic names, constant prefixes with a stage separator, and
-// well-formed vecs.
+// well-formed label suffixes, spelled out or opened by a constant head.
 func TestClean(t *testing.T) {
 	analysistest.RunWithDeps(t, filepath.Join("testdata", "clean"), obsDeps, analyzers...)
 }

@@ -84,12 +84,12 @@ func dynamicName(reg *obs.Registry, prefix string) {
 	reg.Gauge(prefix + "/hits").Set(1)
 }
 
-// Vecs with literal keys and matching With arity, chained and through a
-// local.
-func goodVecs(reg *obs.Registry) {
-	reg.CounterVec("fix/surveys", "backend").With("mesh").Inc()
-	opUS := reg.HistogramVec("fix/op_us", "op")
-	opUS.With("rdmsr").Observe(3)
-	byCPU := reg.GaugeVec("fix/temp", "cpu", "zone")
-	byCPU.With("0", "core").Set(41)
+// A name may carry one {key="value"} label suffix, spelled out (the
+// hostif latency shape) or with its value completed dynamically after a
+// constant head that opens the label (the probe per-kind shape).
+func goodLabels(reg *obs.Registry, op string) {
+	reg.Histogram(`fix/op_us{op="rdmsr"}`).Observe(3)
+	reg.Counter(`fix/by_op{op="timed_load"}`).Inc()
+	reg.Gauge(`fix/temp{zone="core-0"}`).Set(41)
+	reg.Counter(`fix/by_op{op="` + op + `"}`).Inc()
 }

@@ -59,17 +59,15 @@ func badPrefix(reg *obs.Registry, suffix string) {
 	reg.Counter("fix" + suffix).Inc() // want `obs name prefix "fix" must be lowercase`
 }
 
-// Label keys obey the exposition grammar, at compile time.
-func badLabels(reg *obs.Registry, dyn string) {
-	reg.CounterVec("fix/vec_a", "Op").With("x").Inc()       // want `obs label key "Op" must match`
-	reg.GaugeVec("fix/vec_b", "1op").With("x").Set(1)       // want `obs label key "1op" must match`
-	reg.HistogramVec("fix/vec_c", dyn).With("x").Observe(1) // want `obs label keys must be string literals`
-}
-
-// With arity must match the declared key count — chained or through a
-// local variable.
-func badArity(reg *obs.Registry) {
-	reg.CounterVec("fix/vec_d", "a", "b").With("only-one").Inc() // want `With has 1 label values for a vec declared with 2 keys`
-	v := reg.GaugeVec("fix/vec_e", "k")
-	v.With("x", "y").Set(1) // want `With has 2 label values for a vec declared with 1 keys`
+// A label suffix obeys the exposition grammar: one label, a lowercase
+// key, a quoted lowercase value.
+func badLabels(reg *obs.Registry, op string) {
+	reg.Counter(`fix/lbl_a{Op="x"}`).Inc()          // want `obs name "fix/lbl_a\{Op=.*" is not stage/metric form`
+	reg.Gauge(`fix/lbl_b{1op="x"}`).Set(1)          // want `obs name "fix/lbl_b\{1op=.*" is not stage/metric form`
+	reg.Histogram(`fix/lbl_c{op="X"}`).Observe(1)   // want `obs name "fix/lbl_c\{op=.*" is not stage/metric form`
+	reg.Counter(`fix/lbl_d{op=x}`).Inc()            // want `obs name "fix/lbl_d\{op=x\}" is not stage/metric form`
+	reg.Counter(`fix/lbl_e{a="x",b="y"}`).Inc()     // want `obs name "fix/lbl_e\{a=.*" is not stage/metric form`
+	reg.Counter(`fix{op="x"}`).Inc()                // want `obs name "fix\{op=.*" is not stage/metric form`
+	reg.Counter(`fix/lbl_f{Op="` + op + `"}`).Inc() // want `obs name prefix "fix/lbl_f\{Op=.*" must be lowercase`
+	reg.Counter(`fix{op="` + op + `"}`).Inc()       // want `obs name prefix "fix\{op=.*" must be lowercase`
 }

@@ -7,8 +7,8 @@ import (
 
 // countingHost is a transparent decorator that counts every host
 // operation into an obs.Registry under host/ops/<op> and, when a clock is
-// supplied, observes each operation's latency into the host/op_us{op=...}
-// labeled histogram. Counter and histogram updates are lock-free atomics
+// supplied, observes each operation's latency into the histogram
+// host/op_us{op="<op>"}. Counter and histogram updates are lock-free atomics
 // and the decorator never alters arguments, results or errors, so
 // wrapping a Host cannot perturb a measurement — only observe it.
 type countingHost struct {
@@ -22,8 +22,8 @@ type countingHost struct {
 // Counting wraps h so that every operation increments the matching
 // host/ops/* counter in reg, and — when clock is non-nil — lands its
 // latency in host/op_us{op="..."}. With a nil registry it returns h
-// unchanged, keeping the uninstrumented path decorator-free. Histogram
-// handles are interned once here, so the per-op cost stays a few atomics.
+// unchanged, keeping the uninstrumented path decorator-free. Every handle
+// is looked up once here, so the per-op cost stays a few atomics.
 func Counting(h Host, reg *obs.Registry, clock obs.Clock) Host {
 	if reg == nil {
 		return h
@@ -39,13 +39,12 @@ func Counting(h Host, reg *obs.Registry, clock obs.Clock) Host {
 		flush:     reg.Counter("host/ops/flush"),
 	}
 	if clock != nil {
-		opUS := reg.HistogramVec("host/op_us", "op")
-		c.rdmsrUS = opUS.With("rdmsr")
-		c.wrmsrUS = opUS.With("wrmsr")
-		c.loadUS = opUS.With("load")
-		c.timedUS = opUS.With("timed_load")
-		c.storeUS = opUS.With("store")
-		c.flushUS = opUS.With("flush")
+		c.rdmsrUS = reg.Histogram(`host/op_us{op="rdmsr"}`)
+		c.wrmsrUS = reg.Histogram(`host/op_us{op="wrmsr"}`)
+		c.loadUS = reg.Histogram(`host/op_us{op="load"}`)
+		c.timedUS = reg.Histogram(`host/op_us{op="timed_load"}`)
+		c.storeUS = reg.Histogram(`host/op_us{op="store"}`)
+		c.flushUS = reg.Histogram(`host/op_us{op="flush"}`)
 	}
 	return c
 }

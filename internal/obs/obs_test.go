@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,6 +149,97 @@ func TestSnapshotTotal(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentHammer gets or creates the same labeled counter,
+// gauge and histogram names from parallel goroutines (the survey
+// worker-pool shape) while another goroutine snapshots, and checks the
+// totals are exact and never seen to shrink. The workers walk 64 series
+// from different offsets, so new names keep being created while others
+// are read; run under -race this proves the registry's maps are guarded.
+func TestRegistryConcurrentHammer(t *testing.T) {
+	r := NewRegistry()
+	ops := []string{"rdmsr", "wrmsr", "load", "flush"}
+	const workers = 8
+	const series = 64
+	const perWorker = 16 * series // each worker touches each series 16 times
+	name := func(base string, n int) string {
+		return base + `{op="` + ops[n%len(ops)] + strconv.Itoa(n/len(ops)) + `"}`
+	}
+
+	start := make(chan struct{})
+	stop := make(chan struct{})
+	snapErr := make(chan error, 1)
+	go func() {
+		<-start
+		var last int64
+		for {
+			total := r.Snapshot().Total("probe/ops{")
+			if total < last || total > workers*perWorker {
+				snapErr <- fmt.Errorf("snapshot counter total %d after %d", total, last)
+				return
+			}
+			last = total
+			select {
+			case <-stop:
+				snapErr <- nil
+				return
+			default:
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < perWorker; i++ {
+				n := (w*series/workers + i) % series
+				r.Counter(name("probe/ops", n)).Inc()
+				r.Gauge(name("probe/level", n)).Set(int64(i))
+				r.Histogram(name("probe/lat_us", n)).Observe(int64(i % 97))
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	close(stop)
+	if err := <-snapErr; err != nil {
+		t.Fatal(err)
+	}
+
+	snap := r.Snapshot()
+	for n := 0; n < series; n++ {
+		if got := snap.Counters[name("probe/ops", n)]; got != workers*16 {
+			t.Errorf("counter %s = %d, want %d", name("probe/ops", n), got, workers*16)
+		}
+		if got := snap.Histograms[name("probe/lat_us", n)].Count; got != workers*16 {
+			t.Errorf("histogram %s count = %d, want %d", name("probe/lat_us", n), got, workers*16)
+		}
+	}
+	if len(snap.Counters) != series || len(snap.Gauges) != series || len(snap.Histograms) != series {
+		t.Fatalf("series counts %d/%d/%d, want %d each", len(snap.Counters), len(snap.Gauges), len(snap.Histograms), series)
+	}
+}
+
+// TestNilPathAllocs pins the disabled-telemetry cost: with a nil registry
+// every metric path, labeled names included, must be allocation-free, so
+// unconditional instrumentation stays harmless in benchmarked inner
+// loops.
+func TestNilPathAllocs(t *testing.T) {
+	var r *Registry
+	allocs := testing.AllocsPerRun(200, func() {
+		r.Counter("probe/x").Add(1)
+		r.Gauge("probe/y").Set(2)
+		r.Histogram("probe/z").Observe(3)
+		r.Counter(`probe/ops{op="rdmsr"}`).Inc()
+		r.Histogram(`probe/lat_us{op="rdmsr"}`).Observe(4)
+	})
+	if allocs != 0 {
+		t.Fatalf("nil-registry metric path allocates %.1f per op, want 0", allocs)
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Add(1)
@@ -156,9 +249,9 @@ func TestNilSafety(t *testing.T) {
 	if err := r.GaugeFunc("w", nil, func() int64 { return 1 }); err != nil {
 		t.Fatalf("nil registry GaugeFunc: %v", err)
 	}
-	r.CounterVec("v/c", "op").With("a").Inc()
-	r.GaugeVec("v/g", "op").With("a").Set(1)
-	r.HistogramVec("v/h", "op").With("a").Observe(1)
+	r.Counter(`v/c{op="a"}`).Inc()
+	r.Gauge(`v/g{op="a"}`).Set(1)
+	r.Histogram(`v/h{op="a"}`).Observe(1)
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 {
 		t.Fatal("nil registry snapshot not empty")
@@ -325,8 +418,8 @@ func TestValidateMetricsRoundTrip(t *testing.T) {
 	r.Counter("probe/experiments/planned").Add(12)
 	r.Gauge("probe/coverage_permille").Set(1000)
 	r.Histogram("ilp/worker_nodes").Observe(7)
-	r.CounterVec("topo/surveys", "backend").With("mesh").Add(2)
-	r.HistogramVec("host/op_us", "op").With("rdmsr").Observe(3)
+	r.Counter(`topo/surveys{backend="mesh"}`).Add(2)
+	r.Histogram(`host/op_us{op="rdmsr"}`).Observe(3)
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -384,12 +477,17 @@ func TestBuildReport(t *testing.T) {
 	r.Counter("ilp/enum_nodes").Add(2048)
 	r.Counter("host/ops/rdmsr").Add(600)
 	r.Counter("host/ops/load").Add(50)
+	// The planner publishes its totals as gauges; its row runs between
+	// probe and ilp and counts predictions as its ops.
+	r.Gauge("plan/predictions").Set(37)
+	r.Gauge("plan/rounds").Set(9)
 	spans := []SpanRecord{
 		{ID: 1, Name: "coremap/map-machine", DurUS: 1000},
 		{ID: 2, Parent: 1, Name: "probe/run", DurUS: 700},
 		{ID: 3, Parent: 2, Name: "probe/map-cores", DurUS: 300}, // nested same-stage: no extra duration
 		{ID: 4, Parent: 1, Name: "ilp/enumerate", DurUS: 200},
 		{ID: 5, Parent: 4, Name: "ilp/worker", DurUS: 150},
+		{ID: 6, Parent: 1, Name: "plan/round", DurUS: 40},
 	}
 	rows := BuildReport(r.Snapshot(), spans)
 
@@ -399,7 +497,7 @@ func TestBuildReport(t *testing.T) {
 		byStage[row.Stage] = row
 		order = append(order, row.Stage)
 	}
-	wantOrder := []string{"coremap", "host", "probe", "ilp"}
+	wantOrder := []string{"coremap", "host", "probe", "plan", "ilp"}
 	if len(order) != len(wantOrder) {
 		t.Fatalf("stages %v, want %v", order, wantOrder)
 	}
@@ -418,6 +516,9 @@ func TestBuildReport(t *testing.T) {
 	}
 	if p.Spans != 2 || p.Duration != 700*time.Microsecond {
 		t.Fatalf("probe spans/duration = %d/%v, want 2/700µs (no double count)", p.Spans, p.Duration)
+	}
+	if pl := byStage["plan"]; pl.Ops != 37 || pl.Spans != 1 || pl.Duration != 40*time.Microsecond {
+		t.Fatalf("plan row = %+v, want 37 ops (plan/predictions), 1 span, 40µs", pl)
 	}
 	// Self-times partition the root span: the stages sum to its duration.
 	var sum time.Duration

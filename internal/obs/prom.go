@@ -13,10 +13,10 @@ import (
 
 // Prometheus text exposition (text/plain; version=0.0.4), dependency-free.
 // Slash-separated metric names mangle to underscore form
-// (probe/experiments/planned -> probe_experiments_planned); labeled series
-// keep their canonical {k="v"} suffix, which is already valid exposition
-// label syntax because seriesKey quotes values with Go rules (a superset
-// escape-compatible with the exposition format for \\, \" and \n).
+// (probe/experiments/planned -> probe_experiments_planned). A labeled
+// series is registered under its full name, label suffix included
+// (host/op_us{op="rdmsr"}); the suffix after the first '{' is emitted as
+// is, so it must already be exposition label syntax.
 // Histograms export as the conventional cumulative _bucket/_sum/_count
 // triple with le bounds taken from the fixed log-bucket table, so a
 // scraper can reconstruct the exact sparse buckets (ParseProm does).

@@ -17,11 +17,10 @@ func promFixture() *Registry {
 	for _, v := range []int64{3, 5, 90, 1200} {
 		h.Observe(v)
 	}
-	hv := r.HistogramVec("host/op_us", "op")
-	hv.With("rdmsr").Observe(7)
-	hv.With("rdmsr").Observe(9)
-	hv.With("load").Observe(2)
-	r.CounterVec("topo/surveys", "backend").With("mesh").Add(3)
+	r.Histogram(`host/op_us{op="rdmsr"}`).Observe(7)
+	r.Histogram(`host/op_us{op="rdmsr"}`).Observe(9)
+	r.Histogram(`host/op_us{op="load"}`).Observe(2)
+	r.Counter(`topo/surveys{backend="mesh"}`).Add(3)
 	return r
 }
 
@@ -33,7 +32,7 @@ func TestWritePromGolden(t *testing.T) {
 	r.Counter("probe/experiments/planned").Add(12)
 	r.Gauge("probe/coverage_permille").Set(850)
 	r.Histogram("ilp/solve_us").Observe(3)
-	r.CounterVec("topo/surveys", "backend").With("mesh").Add(2)
+	r.Counter(`topo/surveys{backend="mesh"}`).Add(2)
 
 	const want = `# TYPE ilp_solve_us histogram
 ilp_solve_us_bucket{le="3"} 1
@@ -70,7 +69,7 @@ func TestWritePromDeterministicUnderFakeClock(t *testing.T) {
 		tel := New(Config{Clock: NewFakeClock(time.Unix(2000, 0), time.Millisecond)})
 		reg := tel.Registry()
 		for i := 0; i < 5; i++ {
-			reg.HistogramVec("host/op_us", "op").With("rdmsr").Observe(int64(10 * i))
+			reg.Histogram(`host/op_us{op="rdmsr"}`).Observe(int64(10 * i))
 			reg.Counter("probe/experiments/planned").Inc()
 		}
 		var buf bytes.Buffer

@@ -62,6 +62,10 @@ func (g *Gauge) Value() int64 {
 // handles are cheap to look up and safe to cache; all mutation paths are
 // lock-free atomics. A nil *Registry hands out nil metric handles, which
 // are themselves no-ops, so instrumentation is unconditional.
+//
+// A name is a whole series: `host/op_us{op="rdmsr"}` is registered,
+// snapshotted and exported like any other name, and WriteProm turns its
+// {op="rdmsr"} suffix into a Prometheus label.
 type Registry struct {
 	mu         sync.Mutex
 	counter    map[string]*Counter       // guarded by mu
@@ -69,8 +73,6 @@ type Registry struct {
 	hist       map[string]*Histogram     // guarded by mu
 	funcs      map[string][]func() int64 // guarded by mu
 	funcOwners map[funcOwnerKey]bool     // guarded by mu
-	vecs       map[string]*vecFamily     // guarded by mu
-	vecErrs    atomic.Int64              // labeled-metric misuse count; surfaced as obs/vec_errors
 }
 
 // funcOwnerKey identifies one gauge-func registration for duplicate
@@ -88,7 +90,6 @@ func NewRegistry() *Registry {
 		hist:       make(map[string]*Histogram),
 		funcs:      make(map[string][]func() int64),
 		funcOwners: make(map[funcOwnerKey]bool),
-		vecs:       make(map[string]*vecFamily),
 	}
 }
 
@@ -193,11 +194,8 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Snapshot captures the current value of every registered metric,
-// including every series of every labeled family (keyed
-// name{k1="v1",k2="v2"} with keys in registration order, so two
-// snapshots of equal state encode identically). On a nil receiver it
-// returns an empty (but non-nil-mapped) snapshot.
+// Snapshot captures the current value of every registered metric. On a
+// nil receiver it returns an empty (but non-nil-mapped) snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters: make(map[string]int64),
@@ -226,25 +224,6 @@ func (r *Registry) Snapshot() Snapshot {
 		for _, name := range sortedKeys(r.hist) {
 			s.Histograms[name] = r.hist[name].snapshot()
 		}
-	}
-	for _, name := range sortedKeys(r.vecs) {
-		f := r.vecs[name]
-		f.eachSeries(func(full string, vs *vecSeries) {
-			switch f.kind {
-			case vecCounter:
-				s.Counters[full] = vs.c.Value()
-			case vecGauge:
-				s.Gauges[full] = vs.g.Value()
-			case vecHist:
-				if s.Histograms == nil {
-					s.Histograms = make(map[string]HistogramSnapshot)
-				}
-				s.Histograms[full] = vs.h.snapshot()
-			}
-		})
-	}
-	if n := r.vecErrs.Load(); n > 0 {
-		s.Counters["obs/vec_errors"] = n
 	}
 	return s
 }

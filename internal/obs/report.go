@@ -24,7 +24,7 @@ type StageRow struct {
 
 // stageOrder pins the pipeline stages to their execution order; stages
 // outside the list sort alphabetically after it.
-var stageOrder = []string{"coremap", "host", "probe", "ilp", "locate", "covert", "experiments"}
+var stageOrder = []string{"coremap", "host", "probe", "plan", "ilp", "locate", "covert", "experiments"}
 
 func stageRank(stage string) int {
 	for i, s := range stageOrder {
@@ -43,12 +43,15 @@ func stageOf(name string) string {
 }
 
 // opsOf picks the operation count that best characterizes a stage's
-// workload: planned experiments for probe, enumeration nodes for the ILP,
-// and so on. The default is the sum of the stage's "<stage>/ops/*"
-// counters (how hostif counts per-op), falling back to zero.
+// workload: planned experiments for probe, predictions for the planner,
+// enumeration nodes for the ILP, and so on. An alias is read as a counter
+// or, failing that, a gauge (the planner publishes its totals as gauges).
+// The default is the sum of the stage's "<stage>/ops/*" counters (how
+// hostif counts per-op), falling back to zero.
 func opsOf(stage string, snap Snapshot) int64 {
 	alias := map[string]string{
 		"probe":       "probe/experiments/planned",
+		"plan":        "plan/predictions",
 		"ilp":         "ilp/enum_nodes",
 		"locate":      "locate/reconstructs",
 		"covert":      "covert/samples",
@@ -56,6 +59,9 @@ func opsOf(stage string, snap Snapshot) int64 {
 	}
 	if name, ok := alias[stage]; ok {
 		if v, ok := snap.Counters[name]; ok {
+			return v
+		}
+		if v, ok := snap.Gauges[name]; ok {
 			return v
 		}
 	}

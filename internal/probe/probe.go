@@ -1024,7 +1024,7 @@ type expFunc func(c plan.Candidate) (bool, error)
 // closures every step-2 experiment passes through: skip counts an
 // experiment that an unmapped CPU rules out, and experiment measures one
 // candidate under the degradation contract.
-func (p *Prober) initRun(ppin uint64, mapping []int, failures []Failure, ro RunOptions) (*Result, func(op string), expFunc) {
+func (p *Prober) initRun(ppin uint64, mapping []int, failures []Failure, ro RunOptions) (*Result, func(plan.Kind), expFunc) {
 	res := &Result{
 		PPIN:     ppin,
 		NumCHA:   p.mon.NumCHA,
@@ -1046,11 +1046,21 @@ func (p *Prober) initRun(ppin uint64, mapping []int, failures []Failure, ro RunO
 	completed := p.reg.Counter("probe/experiments/completed")
 	failed := p.reg.Counter("probe/experiments/failed")
 	skipped := p.reg.Counter("probe/experiments/skipped")
-	byOp := p.reg.CounterVec("probe/experiments_by_op", "op")
-	skip := func(op string) {
+	// probe/experiments_by_op{op="<op>"} partitions planned by
+	// experiment kind. A kind's counter is created on its first
+	// experiment, so a kind the run never plans has no series; without a
+	// registry the name is never built, keeping that path allocation-free.
+	var byKind [plan.KindMemory + 1]*obs.Counter
+	plannedKind := func(k plan.Kind) {
 		res.Planned++
 		planned.Inc()
-		byOp.With(op).Inc()
+		if byKind[k] == nil && p.reg != nil {
+			byKind[k] = p.reg.Counter(`probe/experiments_by_op{op="` + k.Op() + `"}`)
+		}
+		byKind[k].Inc()
+	}
+	skip := func(k plan.Kind) {
+		plannedKind(k)
 		skipped.Inc()
 	}
 	// A permanently failed experiment is recorded in Failures; an
@@ -1061,15 +1071,13 @@ func (p *Prober) initRun(ppin uint64, mapping []int, failures []Failure, ro RunO
 	// black box is the only place a post-mortem can still find the
 	// (stage, op, CPU, CHA) coordinates.
 	experiment := func(c plan.Candidate) (bool, error) {
-		op := c.Kind.Op()
-		res.Planned++
-		planned.Inc()
-		byOp.With(op).Inc()
+		plannedKind(c.Kind)
 		o, err := p.measure(c, ro.NumIMCs)
 		if err != nil {
 			if cmerr.IsInterrupted(err) {
 				return false, err
 			}
+			op := c.Kind.Op()
 			// The CPU that runs the experiment: the source core, or the
 			// sink core when a slice or a controller is the source.
 			cpu := c.SrcCPU
@@ -1120,7 +1128,7 @@ func (p *Prober) measure(c plan.Candidate, numIMCs int) (route.Observation, erro
 // visit error stops the walk. The exhaustive sweep measures each
 // candidate as it is visited; the planned sweep collects them into the
 // planner's pool, whose indices are then a deterministic tie-break.
-func (p *Prober) eachCandidate(res *Result, ro RunOptions, skip func(op string), visit func(plan.Candidate) error) error {
+func (p *Prober) eachCandidate(res *Result, ro RunOptions, skip func(plan.Kind), visit func(plan.Candidate) error) error {
 	mapping := res.OSToCHA
 	n := len(mapping)
 	for src := 0; src < n; src++ {
@@ -1135,7 +1143,7 @@ func (p *Prober) eachCandidate(res *Result, ro RunOptions, skip func(op string),
 			}
 			srcCHA, sinkCHA := mapping[src], mapping[sink]
 			if srcCHA < 0 || sinkCHA < 0 {
-				skip("pair")
+				skip(plan.KindPair)
 				continue
 			}
 			err := visit(plan.Candidate{Kind: plan.KindPair, SrcCHA: srcCHA, DstCHA: sinkCHA, SrcCPU: src, DstCPU: sink})
@@ -1148,8 +1156,8 @@ func (p *Prober) eachCandidate(res *Result, ro RunOptions, skip func(op string),
 		for _, sliceCHA := range res.LLCOnlyCHAs() {
 			for cpu, coreCHA := range mapping {
 				if coreCHA < 0 {
-					skip("slice")
-					skip("request")
+					skip(plan.KindSlice)
+					skip(plan.KindRequest)
 					continue
 				}
 				err := visit(plan.Candidate{Kind: plan.KindSlice, SrcCHA: sliceCHA, DstCHA: coreCHA, SrcCPU: -1, DstCPU: cpu})
@@ -1166,7 +1174,7 @@ func (p *Prober) eachCandidate(res *Result, ro RunOptions, skip func(op string),
 	for imc := 0; imc < ro.NumIMCs; imc++ {
 		for cpu, coreCHA := range mapping {
 			if coreCHA < 0 {
-				skip("memory")
+				skip(plan.KindMemory)
 				continue
 			}
 			err := visit(plan.Candidate{Kind: plan.KindMemory, SrcCHA: -1, DstCHA: coreCHA, IMC: imc, SrcCPU: -1, DstCPU: cpu})
@@ -1183,7 +1191,7 @@ func (p *Prober) eachCandidate(res *Result, ro RunOptions, skip func(op string),
 // candidates to measure. Candidates the planner never issues are simply
 // absent from Result.Planned: coverage remains "completed / attempted",
 // and plan/skipped records how much of the exhaustive sweep was avoided.
-func (p *Prober) runPlanned(res *Result, ro RunOptions, skip func(op string), experiment expFunc) error {
+func (p *Prober) runPlanned(res *Result, ro RunOptions, skip func(plan.Kind), experiment expFunc) error {
 	var cands []plan.Candidate
 	if err := p.eachCandidate(res, ro, skip, func(c plan.Candidate) error {
 		cands = append(cands, c)
