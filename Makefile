@@ -25,7 +25,8 @@ race:
 
 # Enumerate against exhaustive enumeration, the resumable
 # Enumerator against fresh enumeration, the observation model against
-# itself, the route walk against Classify, and the canonical form and
+# itself, the route walk against Classify, the observation model and
+# route walk against their mirror symmetry, and the canonical form and
 # cache fingerprint against their invariants, beyond the seed corpora
 # (mirrors the fuzz steps of the CI race job).
 fuzz:
@@ -33,6 +34,7 @@ fuzz:
 	go test -run XXX -fuzz FuzzEnumerateResume -fuzztime 30s ./internal/ilp
 	go test -run XXX -fuzz FuzzObservationModel -fuzztime 30s ./internal/route
 	go test -run XXX -fuzz FuzzRouteWalk -fuzztime 30s ./internal/route
+	go test -run XXX -fuzz FuzzMirrorInvariance -fuzztime 30s ./internal/route
 	go test -run XXX -fuzz FuzzCanonical -fuzztime 30s ./internal/locate
 	go test -run XXX -fuzz FuzzFingerprintOrder -fuzztime 30s ./internal/locate
 

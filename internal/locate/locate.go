@@ -95,8 +95,8 @@ type Map struct {
 	// Optimal reports that the map is proven optimal: it was picked
 	// from the complete feasible set, so it always is.
 	Optimal bool
-	// Nodes is the enumeration's search nodes; 0 when picked from
-	// Input.Survivors.
+	// Nodes is the enumeration's search nodes — over mirror orbits on an
+	// unanchored map — and 0 when picked from Input.Survivors.
 	Nodes int
 	// Candidates is the number of distinct placements the observations
 	// admit: counted up to mirror and translation (Canonical) on
@@ -178,9 +178,13 @@ func reconstruct(ctx context.Context, in Input, opts Options) (result *Map, err 
 }
 
 // enumerate enumerates the feasible set of route.Space over every
-// observation, uncapped, and picks from it.
+// observation, uncapped, and picks from it. Without an anchored
+// observation it enumerates mirror orbits and expands each before the
+// pick: the packing objective's Σ(c+1) tells a placement from its
+// mirror, so both must compete.
 func enumerate(ctx context.Context, in Input, opts Options) (*Map, error) {
-	space := route.NewSpace(in.NumCHA, in.Rows, in.Cols, in.IMCPositions, route.SrcGap(opts.PaperExactBounds))
+	space := route.NewSpace(in.NumCHA, in.Rows, in.Cols, in.IMCPositions,
+		route.SrcGap(opts.PaperExactBounds), !isAnchored(in.Observations))
 	for _, o := range in.Observations {
 		space.Add(o)
 	}
@@ -191,15 +195,17 @@ func enumerate(ctx context.Context, in Input, opts Options) (*Map, error) {
 		return nil, fmt.Errorf("%w: %w", ErrInterrupted, err)
 	case err != nil:
 		return nil, cmerr.Wrap(cmerr.Permanent, "locate", err)
+	}
+	survivors := make([][]mesh.Coord, 0, 2*len(res.Solutions))
+	for _, vals := range res.Solutions {
+		survivors = space.Expand(survivors, vals)
+	}
+	switch {
 	case !res.Complete:
 		return nil, fmt.Errorf("%w: %d nodes searched, %d placements found so far",
-			ErrSearchBudget, res.Nodes, len(res.Solutions))
-	case len(res.Solutions) == 0:
+			ErrSearchBudget, res.Nodes, len(survivors))
+	case len(survivors) == 0:
 		return nil, ErrUnsatisfiable
-	}
-	survivors := make([][]mesh.Coord, len(res.Solutions))
-	for i, vals := range res.Solutions {
-		survivors[i] = space.Placement(vals)
 	}
 	mp := pick(in, survivors)
 	mp.Nodes = res.Nodes

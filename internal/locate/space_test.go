@@ -48,10 +48,13 @@ func placementSet(ps [][]mesh.Coord) []string {
 // route.Space — the one model the planner resumes and Reconstruct
 // enumerates — must equal the brute-force set of distinct placements
 // that satisfy route.Check, under both bounds forms, on random small
-// grids with unanchored and anchored observations of a random truth.
+// grids with unanchored and anchored observations of a random truth. On
+// unanchored observations the space of mirror orbits, expanded, must
+// equal the same uncut set, odd grids and their self-mirror placements
+// included.
 func TestSpaceMatchesFeasiblePlacements(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	nonEmpty, ambiguous := 0, 0
+	nonEmpty, ambiguous, orbitTrials, selfMirror := 0, 0, 0, 0
 	const trials = 120
 	for trial := 0; trial < trials; trial++ {
 		rows, cols := 1+r.Intn(3), 2+r.Intn(3)
@@ -76,24 +79,35 @@ func TestSpaceMatchesFeasiblePlacements(t *testing.T) {
 			}
 			in.Observations = append(in.Observations, o)
 		}
+		orbitModes := []bool{false}
+		if !isAnchored(in.Observations) {
+			orbitModes = append(orbitModes, true)
+			orbitTrials++
+		}
 		for _, paper := range []bool{false, true} {
 			gap := route.SrcGap(paper)
-			space := route.NewSpace(n, rows, cols, in.IMCPositions, gap)
-			for _, o := range in.Observations {
-				space.Add(o)
-			}
-			res, err := ilp.Enumerate(context.Background(), space.Model(), space.EnumOptions(0), 0)
-			if err != nil || !res.Complete {
-				t.Fatalf("trial %d: enumeration err=%v complete=%v", trial, err, res != nil && res.Complete)
-			}
-			got := make([][]mesh.Coord, len(res.Solutions))
-			for i, vals := range res.Solutions {
-				got[i] = space.Placement(vals)
-			}
 			want := feasiblePlacements(in, gap)
-			if g, w := placementSet(got), placementSet(want); strings.Join(g, "|") != strings.Join(w, "|") {
-				t.Fatalf("trial %d (paper=%v): space enumerates %d placements, brute force %d\nspace %v\nbrute %v\nobservations %+v",
-					trial, paper, len(g), len(w), g, w, in.Observations)
+			for _, orbits := range orbitModes {
+				space := route.NewSpace(n, rows, cols, in.IMCPositions, gap, orbits)
+				for _, o := range in.Observations {
+					space.Add(o)
+				}
+				res, err := ilp.Enumerate(context.Background(), space.Model(), space.EnumOptions(0), 0)
+				if err != nil || !res.Complete {
+					t.Fatalf("trial %d: enumeration err=%v complete=%v", trial, err, res != nil && res.Complete)
+				}
+				var got [][]mesh.Coord
+				for _, vals := range res.Solutions {
+					before := len(got)
+					got = space.Expand(got, vals)
+					if orbits && len(got)-before == 1 {
+						selfMirror++
+					}
+				}
+				if g, w := placementSet(got), placementSet(want); strings.Join(g, "|") != strings.Join(w, "|") {
+					t.Fatalf("trial %d (paper=%v, orbits=%v): space enumerates %d placements, brute force %d\nspace %v\nbrute %v\nobservations %+v",
+						trial, paper, orbits, len(g), len(w), g, w, in.Observations)
+				}
 			}
 			if len(want) > 0 {
 				nonEmpty++
@@ -106,6 +120,24 @@ func TestSpaceMatchesFeasiblePlacements(t *testing.T) {
 	if nonEmpty == 0 || ambiguous == 0 {
 		t.Fatalf("%d non-empty and %d ambiguous sets of %d: the test no longer sees both", nonEmpty, ambiguous, 2*trials)
 	}
+	if orbitTrials == 0 || selfMirror == 0 {
+		t.Fatalf("%d unanchored trials met %d self-mirror placements: the orbit expansion is not exercised", orbitTrials, selfMirror)
+	}
+	t.Logf("%d unanchored trials, %d self-mirror placements", orbitTrials, selfMirror)
+}
+
+// TestOrbitSpaceRejectsAnchoredObservation: an anchored observation
+// tells a placement from its mirror, so adding one to a space of mirror
+// orbits is a programming error and panics.
+func TestOrbitSpaceRejectsAnchoredObservation(t *testing.T) {
+	space := route.NewSpace(2, 2, 2, []mesh.Coord{{Row: 0, Col: 0}}, 1, true)
+	space.Add(route.Observation{SrcCHA: 0, DstCHA: 1})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("anchored Add into a space of mirror orbits did not panic")
+		}
+	}()
+	space.Add(route.Observation{Anchored: true, SrcCHA: -1, DstCHA: 1})
 }
 
 // TestReconstructSearchBudget: an enumeration that exhausts its node

@@ -44,6 +44,22 @@
 // — from Survivors when it has them, instead of enumerating the set
 // afresh, with the same result.
 //
+// # Mirror orbits
+//
+// Without a KindMemory candidate in the pool no observation can be
+// anchored, and every clause route.Check evaluates holds of a placement
+// exactly when it holds of its horizontal mirror image; predictKey is
+// mirror-invariant too, because route.Walk folds both horizontal
+// directions into one channel. Such a planner enumerates, stores, filters
+// and scores one representative per mirror orbit (route.Space), and
+// expands the orbits only where placements leave the package: Survivors
+// and Stats.Ambiguity. Every bound is still stated in placements —
+// AmbiguityCap becomes (cap+1)/2 orbits and each attempt gets half its
+// node budget — and partition weighs each representative by the
+// placements it stands for, so every block is the size it would be over
+// the expanded set and the schedule is the one a placement-by-placement
+// planner issues.
+//
 // Degradation is monotone toward the exhaustive survey: candidates whose
 // experiments fail permanently are dropped (no observation, no filter),
 // and if the surviving set ever empties — a prediction-model mismatch, a
@@ -127,7 +143,9 @@ type Options struct {
 	// AmbiguityCap bounds the surviving-placement set the planner is
 	// willing to materialize: while more placements than this remain
 	// consistent, it keeps seeding broad measurements instead of
-	// enumerating. 0 selects DefaultAmbiguityCap.
+	// enumerating. It counts placements, not mirror orbits (package
+	// comment); an odd cap admits one placement more. 0 selects
+	// DefaultAmbiguityCap.
 	AmbiguityCap int
 	// PaperExactBounds must match the locate.Options.PaperExactBounds
 	// the reconstruction will use, so the planner's survivors are the
@@ -168,7 +186,8 @@ type Stats struct {
 	// Measured and Failed count resolved candidates; Skipped is the
 	// number of candidates the survey never had to run.
 	Measured, Failed, Skipped int
-	// Ambiguity is the size of the surviving placement set (0 before
+	// Ambiguity is the size of the surviving placement set, counted in
+	// placements with both members of every mirror orbit (0 before
 	// materialization or after a fallback).
 	Ambiguity int
 	// Converged reports that the survey stopped because no remaining
@@ -178,7 +197,8 @@ type Stats struct {
 	// mode after the surviving set emptied.
 	Fallback bool
 	// Predictions counts the survivor predictions scoring computed: one
-	// per surviving placement for every candidate a round partitioned.
+	// per stored survivor — one per mirror orbit when the planner
+	// enumerates orbits — for every candidate a round partitioned.
 	Predictions int
 }
 
@@ -202,13 +222,15 @@ type Planner struct {
 	// srcGap is route.SrcGap(Options.PaperExactBounds).
 	srcGap int
 
+	// orbits reports that the pool has no KindMemory candidate, so the
+	// planner works on mirror orbits (package comment).
+	orbits bool
+
 	observations []route.Observation
-	// survivors is the materialized set of placements (CHA → coordinate)
-	// consistent with every observation so far; nil until the first
-	// complete enumeration. tiles[i] indexes survivors[i] by tile (see
-	// tileIndex) and is filtered in step with it.
-	survivors [][]mesh.Coord
-	tiles     [][]byte
+	// survivors is the materialized set of placements consistent with
+	// every observation so far, one entry per mirror orbit when orbits
+	// is set; nil until the first complete enumeration.
+	survivors []survivor
 	fallback  bool
 	converged bool
 	// retired marks candidates a scoring round found unable to split the
@@ -239,6 +261,7 @@ type Planner struct {
 	hops      []route.Hop
 	keyBuf    []byte
 	keyEnds   []int
+	keySizes  []int32
 	blocks    blockCounter
 	deg       []int
 	remaining []int
@@ -248,6 +271,22 @@ type Planner struct {
 type scoredCand struct {
 	idx   int
 	score int
+}
+
+// survivor is one stored member of the surviving set: a placement (CHA →
+// coordinate), its tile index (see tileIndex) and, in a planner of
+// orbits, its mirror image — nil for a placement that is its own.
+type survivor struct {
+	pos, mirror []mesh.Coord
+	at          []byte
+}
+
+// size is the number of placements s stands for.
+func (s *survivor) size() int {
+	if s.mirror != nil {
+		return 2
+	}
+	return 1
 }
 
 // New validates the configuration and returns a planner over the given
@@ -278,9 +317,14 @@ func New(opts Options, numCHA int, cands []Candidate) (*Planner, error) {
 			return nil, cmerr.New(cmerr.Permanent, stage, "candidate %d source CHA %d out of range", i, c.SrcCHA)
 		}
 	}
+	orbits := true
+	for _, c := range cands {
+		orbits = orbits && c.Kind != KindMemory
+	}
 	return &Planner{
 		opts:    opts,
 		numCHA:  numCHA,
+		orbits:  orbits,
 		srcGap:  route.SrcGap(opts.PaperExactBounds),
 		cands:   append([]Candidate(nil), cands...),
 		state:   make([]candState, len(cands)),
@@ -306,7 +350,7 @@ func (pl *Planner) Stats() Stats {
 		Measured:     pl.measuredCnt,
 		Failed:       pl.failedCnt,
 		Skipped:      skipped,
-		Ambiguity:    len(pl.survivors),
+		Ambiguity:    pl.ambiguity(),
 		Converged:    pl.converged,
 		Fallback:     pl.fallback,
 		Predictions:  pl.predictions,
@@ -318,9 +362,31 @@ func (pl *Planner) Stats() Stats {
 // or the planner fell back to the exhaustive sweep. Once the survey is
 // over it is the exact feasible set of the reconstruction (see the
 // package comment), so the reconstruction can pick its answer from it
-// instead of solving. The slice is planner-owned and read-only; a later
-// Observe filters it in place.
-func (pl *Planner) Survivors() [][]mesh.Coord { return pl.survivors }
+// instead of solving. A planner of orbits returns both members of every
+// orbit. The slice is the caller's; the placements in it are shared with
+// the planner and read-only.
+func (pl *Planner) Survivors() [][]mesh.Coord {
+	if pl.survivors == nil {
+		return nil
+	}
+	out := make([][]mesh.Coord, 0, pl.ambiguity())
+	for _, s := range pl.survivors {
+		out = append(out, s.pos)
+		if s.mirror != nil {
+			out = append(out, s.mirror)
+		}
+	}
+	return out
+}
+
+// ambiguity is the number of placements the survivors stand for.
+func (pl *Planner) ambiguity() int {
+	n := 0
+	for i := range pl.survivors {
+		n += pl.survivors[i].size()
+	}
+	return n
+}
 
 // NextBatch returns the pool indices of the next experiments to run, or
 // an empty batch when the survey is over (converged, or no candidates
@@ -375,7 +441,9 @@ func (pl *Planner) issue(batch []int) []int {
 }
 
 // Observe records a completed measurement for pool index ci and filters
-// the surviving placements against it.
+// the surviving placements against it. A planner of orbits filters the
+// representatives alone: o is unanchored, so route.Check gives a
+// placement and its mirror the same verdict.
 func (pl *Planner) Observe(ci int, o route.Observation) {
 	if pl.state[ci] == candMeasured || pl.state[ci] == candFailed {
 		return
@@ -386,21 +454,20 @@ func (pl *Planner) Observe(ci int, o route.Observation) {
 	if pl.survivors == nil {
 		return
 	}
-	kept, keptTiles := pl.survivors[:0], pl.tiles[:0]
-	for i, p := range pl.survivors {
-		if pl.consistent(&o, p) {
-			kept = append(kept, p)
-			keptTiles = append(keptTiles, pl.tiles[i])
+	kept := pl.survivors[:0]
+	for _, s := range pl.survivors {
+		if pl.consistent(&o, s.pos) {
+			kept = append(kept, s)
 		}
 	}
-	pl.survivors, pl.tiles = kept, keptTiles
+	pl.survivors = kept
 	if len(pl.survivors) == 0 {
 		// Every placement the constraints admitted is contradicted: the
 		// prediction model and reality have diverged (which the design
 		// rules out for supported configurations, but a degraded or
 		// misconfigured run can get here). Degrade to the exhaustive
 		// sweep; the reconstruction then sees everything measurable.
-		pl.survivors, pl.tiles = nil, nil
+		pl.survivors = nil
 		pl.fallback = true
 	}
 }
@@ -421,7 +488,9 @@ func (pl *Planner) Fail(ci int) {
 // enumeration installs the survivor set; a cap or node-budget overrun
 // leaves it nil (still too ambiguous — keep seeding). An empty complete
 // enumeration means the constraint system is unsatisfiable (degraded
-// measurements), which also degrades to the exhaustive sweep.
+// measurements), which also degrades to the exhaustive sweep. A planner
+// of orbits enumerates (AmbiguityCap+1)/2 orbits on half the budget:
+// both bounds count placements.
 func (pl *Planner) materialize(ctx context.Context) (err error) {
 	ctx, span := obs.Start(ctx, "plan/materialize")
 	defer func() { span.End(err) }()
@@ -434,10 +503,14 @@ func (pl *Planner) materialize(ctx context.Context) (err error) {
 	}
 	span.SetAttr("observations", int64(len(pl.observations))).SetAttr("budget", int64(pl.nodeBudget))
 	pl.extendModel()
-	if pl.enum == nil {
-		pl.enum = ilp.NewEnumerator(pl.space.Model(), pl.space.EnumOptions(pl.opts.AmbiguityCap))
+	capN, budget := pl.opts.AmbiguityCap, pl.nodeBudget
+	if pl.orbits {
+		capN, budget = (capN+1)/2, budget/2
 	}
-	res, err := pl.enum.Run(ctx, pl.nodeBudget)
+	if pl.enum == nil {
+		pl.enum = ilp.NewEnumerator(pl.space.Model(), pl.space.EnumOptions(capN))
+	}
+	res, err := pl.enum.Run(ctx, budget)
 	if err != nil {
 		return err
 	}
@@ -456,11 +529,15 @@ func (pl *Planner) materialize(ctx context.Context) (err error) {
 		pl.fallback = true
 		return nil
 	}
-	pl.survivors = make([][]mesh.Coord, len(res.Solutions))
-	pl.tiles = make([][]byte, len(res.Solutions))
+	pl.survivors = make([]survivor, len(res.Solutions))
+	var orbit [][]mesh.Coord
 	for i, vals := range res.Solutions {
-		pl.survivors[i] = pl.space.Placement(vals)
-		pl.tiles[i] = pl.tileIndex(pl.survivors[i])
+		orbit = pl.space.Expand(orbit[:0], vals)
+		s := &pl.survivors[i]
+		s.pos, s.at = orbit[0], pl.tileIndex(orbit[0])
+		if len(orbit) == 2 {
+			s.mirror = orbit[1]
+		}
 	}
 	return nil
 }
@@ -471,7 +548,7 @@ func (pl *Planner) materialize(ctx context.Context) (err error) {
 func (pl *Planner) extendModel() {
 	if pl.space == nil {
 		pl.space = route.NewSpace(pl.numCHA, pl.opts.Rows, pl.opts.Cols,
-			pl.opts.IMCPositions, pl.srcGap)
+			pl.opts.IMCPositions, pl.srcGap, pl.orbits)
 	}
 	for _, o := range pl.observations[pl.modelObs:] {
 		pl.space.Add(o)
@@ -578,15 +655,19 @@ func (pl *Planner) scoreAndPick(remaining []int) []int {
 }
 
 // partition groups the survivors by candidate c's predicted observation,
-// returning the number of distinct outcomes and the largest group size.
-// The survivors' keys are laid end to end in one reused buffer.
+// returning the number of distinct outcomes and the largest group size
+// in placements: a representative weighs for its whole orbit, whose
+// members share its key (package comment). The survivors' keys are laid
+// end to end in one reused buffer.
 func (pl *Planner) partition(c Candidate) (blocks, maxBlock int) {
-	buf, ends := pl.keyBuf[:0], pl.keyEnds[:0]
-	for i, p := range pl.survivors {
-		buf = pl.predictKey(buf, c, p, pl.tiles[i])
+	buf, ends, sizes := pl.keyBuf[:0], pl.keyEnds[:0], pl.keySizes[:0]
+	for i := range pl.survivors {
+		s := &pl.survivors[i]
+		buf = pl.predictKey(buf, c, s.pos, s.at)
 		ends = append(ends, len(buf))
+		sizes = append(sizes, int32(s.size()))
 	}
-	pl.keyBuf, pl.keyEnds = buf, ends
+	pl.keyBuf, pl.keyEnds, pl.keySizes = buf, ends, sizes
 	pl.predictions += len(ends)
-	return pl.blocks.count(buf, ends)
+	return pl.blocks.count(buf, ends, sizes)
 }

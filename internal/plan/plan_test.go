@@ -107,22 +107,23 @@ func TestPlannerConvergesOnToyPlacement(t *testing.T) {
 	// The ground truth must be among the survivors, and convergence means
 	// no unmeasured candidate can split them.
 	foundTruth := false
-	for _, p := range pl.survivors {
+	survivors := pl.Survivors()
+	for _, p := range survivors {
 		if reflect.DeepEqual(p, toyTruth) {
 			foundTruth = true
 		}
 	}
 	if !foundTruth {
-		t.Fatalf("ground truth missing from %d survivors", len(pl.survivors))
+		t.Fatalf("ground truth missing from %d survivors", len(survivors))
 	}
 	for ci, state := range pl.state {
 		if state != candUnmeasured {
 			continue
 		}
 		c := pl.cands[ci]
-		want := string(pl.predictKey(nil, c, pl.survivors[0], pl.tiles[0]))
-		for i, p := range pl.survivors[1:] {
-			if got := string(pl.predictKey(nil, c, p, pl.tiles[i+1])); got != want {
+		want := string(pl.predictKey(nil, c, survivors[0], pl.tileIndex(survivors[0])))
+		for _, p := range survivors[1:] {
+			if got := string(pl.predictKey(nil, c, p, pl.tileIndex(p))); got != want {
 				t.Fatalf("skipped candidate %d still splits survivors: %q vs %q", ci, got, want)
 			}
 		}

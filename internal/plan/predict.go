@@ -86,14 +86,14 @@ func (pl *Planner) consistent(o *route.Observation, p []mesh.Coord) bool {
 // over the survivors, which only shrink afterwards.
 type blockCounter struct {
 	// slot holds 1 + the index of the first key of a block, 0 when the
-	// slot is empty; size counts the block's keys.
+	// slot is empty; size sums the block's key weights.
 	slot, size []int32
 }
 
 // count returns the number of distinct keys among the keys laid end to
-// end in buf — key i is buf[ends[i-1]:ends[i]] — and the size of the
-// largest group of equal keys.
-func (bc *blockCounter) count(buf []byte, ends []int) (blocks, maxBlock int) {
+// end in buf — key i is buf[ends[i-1]:ends[i]] — and the largest total
+// weight of a group of equal keys, key i weighing sizes[i].
+func (bc *blockCounter) count(buf []byte, ends []int, sizes []int32) (blocks, maxBlock int) {
 	if n := 2 * len(ends); len(bc.slot) < n {
 		tab := 1
 		for tab < n {
@@ -122,7 +122,7 @@ func (bc *blockCounter) count(buf []byte, ends []int) (blocks, maxBlock int) {
 			} else if !bytes.Equal(key(int(bc.slot[h]-1)), k) {
 				continue
 			}
-			bc.size[h]++
+			bc.size[h] += sizes[i]
 			maxBlock = max(maxBlock, int(bc.size[h]))
 			break
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -73,7 +74,8 @@ func scheduleDigest(batches [][]int) string {
 // TestPlannerScheduleUnchanged pins the planner's measurement schedule —
 // which experiments it issues, in which rounds — on a seeded 8259CL and
 // 6354 survey, and the search tree behind it: the total enumeration
-// nodes (ilp/enum_nodes) over the survey's materialization attempts.
+// nodes (ilp/enum_nodes) over the survey's materialization attempts,
+// which enumerate mirror orbits (the pools have no memory candidate).
 // What the planner measures must not move when survivors are computed
 // differently; a change that reshapes the search tree must update the
 // node counts deliberately.
@@ -86,9 +88,9 @@ func TestPlannerScheduleUnchanged(t *testing.T) {
 		rounds, measured int
 		enumNodes        int64
 	}{
-		{machine.SKU8259CL, 1, 1, "49ae382b697d29b8c3da90b0674ec051c39fb01908fb43e8ea3fcdcbae701740", 4, 58, 4747},
-		{machine.SKU6354, 0, 1, "e1fa76bc7d147ced654f4b907231958b4ea84ff142b2d7a4728352dbe2eeb86e", 14, 254, 44759},
-		{machine.SKU6354, 1, 2, "d7d2710aa927e78dbca6d9416c7d160effbbbedf4ac918fefed065fcc137c81d", 5, 128, 28056},
+		{machine.SKU8259CL, 1, 1, "49ae382b697d29b8c3da90b0674ec051c39fb01908fb43e8ea3fcdcbae701740", 4, 58, 2377},
+		{machine.SKU6354, 0, 1, "e1fa76bc7d147ced654f4b907231958b4ea84ff142b2d7a4728352dbe2eeb86e", 14, 254, 28780},
+		{machine.SKU6354, 1, 2, "d7d2710aa927e78dbca6d9416c7d160effbbbedf4ac918fefed065fcc137c81d", 5, 128, 14709},
 	} {
 		t.Run(fmt.Sprintf("%s/pattern%d", tc.sku.Name, tc.pattern), func(t *testing.T) {
 			opts, numCHA, cands, truth := surveyInstance(tc.sku, tc.pattern, tc.seed)
@@ -151,7 +153,7 @@ func TestPlannerModelDedupesRows(t *testing.T) {
 		for i := range ids {
 			ids[i] = int64(i)
 		}
-		for k, at := range pl.space.Placement(ids) {
+		for k, at := range pl.space.Expand(nil, ids)[0] {
 			if at != (mesh.Coord{Row: int(r[k]), Col: int(c[k])}) {
 				t.Fatalf("space decodes CHA %d from variables %v; the reference declares r%d, c%d as %d, %d",
 					k, at, k, k, r[k], c[k])
@@ -211,24 +213,31 @@ func classifyKey(pl *Planner, c Candidate, p []mesh.Coord) string {
 	return string(key)
 }
 
-// referenceBatch is the scorer without retirement: it re-partitions the
-// survivors by every remaining candidate's classifyKey and returns the
-// BatchSize splitting candidates with the smallest largest block, pool
-// order breaking ties.
+// referencePartition is partition without mirror orbits: it groups
+// every surviving placement (Survivors, both members of each orbit) by
+// candidate c's classifyKey and returns the number of groups and the
+// size of the largest.
+func referencePartition(pl *Planner, c Candidate) (blocks, maxBlock int) {
+	counts := map[string]int{}
+	for _, p := range pl.Survivors() {
+		counts[classifyKey(pl, c, p)]++
+	}
+	for _, n := range counts {
+		maxBlock = max(maxBlock, n)
+	}
+	return len(counts), maxBlock
+}
+
+// referenceBatch is the scorer without retirement or mirror orbits: it
+// re-partitions the survivors by every remaining candidate
+// (referencePartition) and returns the BatchSize splitting candidates
+// with the smallest largest block, pool order breaking ties.
 func referenceBatch(pl *Planner, remaining []int) []int {
 	type ranked struct{ idx, maxBlock int }
 	var splits []ranked
 	for _, ci := range remaining {
-		counts := map[string]int{}
-		for _, p := range pl.survivors {
-			counts[classifyKey(pl, pl.cands[ci], p)]++
-		}
-		if len(counts) > 1 {
-			r := ranked{idx: ci}
-			for _, n := range counts {
-				r.maxBlock = max(r.maxBlock, n)
-			}
-			splits = append(splits, r)
+		if blocks, maxBlock := referencePartition(pl, pl.cands[ci]); blocks > 1 {
+			splits = append(splits, ranked{idx: ci, maxBlock: maxBlock})
 		}
 	}
 	sort.Slice(splits, func(i, j int) bool {
@@ -248,7 +257,8 @@ func referenceBatch(pl *Planner, remaining []int) []int {
 // 6354 surveys and checks every scored round against referenceBatch:
 // each retired candidate still predicts one key across the current
 // survivors, and skipping the retired candidates — and predicting by
-// route walk — leaves every batch equal to the reference's.
+// route walk, one weighed representative per mirror orbit — leaves every
+// batch equal to the reference's.
 func TestRetiredCandidatesMatchReferenceScorer(t *testing.T) {
 	for _, tc := range []struct {
 		sku     *machine.SKU
@@ -292,10 +302,11 @@ func TestRetiredCandidatesMatchReferenceScorer(t *testing.T) {
 							continue
 						}
 						retired++
-						want := classifyKey(pl, cands[ci], pl.survivors[0])
-						for _, p := range pl.survivors[1:] {
+						survivors := pl.Survivors()
+						want := classifyKey(pl, cands[ci], survivors[0])
+						for _, p := range survivors[1:] {
 							if got := classifyKey(pl, cands[ci], p); got != want {
-								t.Fatalf("round %d: retired candidate %d splits the %d survivors", round, ci, len(pl.survivors))
+								t.Fatalf("round %d: retired candidate %d splits the %d survivors", round, ci, len(survivors))
 							}
 						}
 					}
@@ -313,5 +324,86 @@ func TestRetiredCandidatesMatchReferenceScorer(t *testing.T) {
 				t.Fatalf("survey exercised no scoring (%d rounds) or no retirement (%d candidates)", scored, retiredMax)
 			}
 		})
+	}
+}
+
+// TestOrbitScoringOnOddGrids drives planners without memory candidates
+// on random small grids with an odd column count, where a placement
+// with every CHA in the middle column is its own mirror image and its
+// orbit weighs one placement, not two. In every scored round, partition
+// must size each candidate's blocks as referencePartition does over the
+// expanded survivors, and the batch must be referenceBatch's.
+func TestOrbitScoringOnOddGrids(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	scored, selfMirror := 0, 0
+	for trial := 0; trial < 150; trial++ {
+		rows, cols := 2+r.Intn(3), 3+2*r.Intn(2)
+		n := 2 + r.Intn(rows-1)
+		truth := make([]mesh.Coord, n)
+		if r.Intn(2) == 0 {
+			for k, row := range r.Perm(rows)[:n] {
+				truth[k] = mesh.Coord{Row: row, Col: cols / 2}
+			}
+		} else {
+			for k, cell := range r.Perm(rows * cols)[:n] {
+				truth[k] = mesh.Coord{Row: cell / cols, Col: cell % cols}
+			}
+		}
+		var cands []Candidate
+		for src := range n {
+			for dst := range n {
+				if src != dst {
+					cands = append(cands, Candidate{Kind: KindPair, SrcCHA: src, DstCHA: dst})
+				}
+			}
+		}
+		pl, err := New(Options{Rows: rows, Cols: cols}, n, cands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; ; round++ {
+			if round > 100 {
+				t.Fatalf("trial %d: planner failed to terminate", trial)
+			}
+			var remaining []int
+			for ci, st := range pl.state {
+				if st == candUnmeasured {
+					remaining = append(remaining, ci)
+				}
+			}
+			batch, err := pl.NextBatch(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.survivors != nil {
+				scored++
+				for _, s := range pl.survivors {
+					if s.mirror == nil {
+						selfMirror++
+					}
+				}
+				if want := referenceBatch(pl, remaining); !reflect.DeepEqual(batch, want) {
+					t.Fatalf("trial %d (%dx%d, truth %v) round %d: batch %v, reference scorer picks %v",
+						trial, rows, cols, truth, round, batch, want)
+				}
+				for _, c := range cands {
+					b, m := pl.partition(c)
+					if rb, rm := referencePartition(pl, c); b != rb || m != rm {
+						t.Fatalf("trial %d (%dx%d) round %d: candidate %+v splits %d orbits into %d blocks, largest %d; the placements split into %d, largest %d",
+							trial, rows, cols, round, c, len(pl.survivors), b, m, rb, rm)
+					}
+				}
+			}
+			if len(batch) == 0 {
+				break
+			}
+			for _, ci := range batch {
+				pl.Observe(ci, trueObs(pl, cands[ci], truth))
+			}
+		}
+	}
+	t.Logf("%d scored rounds met %d self-mirror survivors", scored, selfMirror)
+	if scored == 0 || selfMirror == 0 {
+		t.Fatalf("%d scored rounds met %d self-mirror survivors: the orbit weights are not exercised", scored, selfMirror)
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"slices"
 	"time"
 
 	"coremap/internal/cache"
@@ -1234,10 +1233,9 @@ func (p *Prober) runPlanned(res *Result, ro RunOptions, skip func(plan.Kind), ex
 		roundCost.Observe(int64(len(batch)))
 		roundUS.Observe(p.clock.Now().Sub(roundStart).Microseconds())
 	}
-	// A right-sized copy: the planner's slice keeps the capacity of the
-	// set it materialized (up to AmbiguityCap), which a cached Result
-	// would otherwise pin for its lifetime.
-	res.Survivors = slices.Clone(pm.Survivors())
+	// Survivors builds a right-sized slice per call, so a cached Result
+	// never pins the capacity of the set the planner materialized.
+	res.Survivors = pm.Survivors()
 	st := pm.Stats()
 	p.reg.Gauge("plan/rounds").Set(int64(st.Rounds))
 	p.reg.Gauge("plan/predictions").Set(int64(st.Predictions))

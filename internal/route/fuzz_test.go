@@ -1,6 +1,8 @@
 package route
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"coremap/internal/mesh"
@@ -216,6 +218,93 @@ func FuzzRouteWalk(f *testing.F) {
 				if ch := Classify(src, dst, tile); ch != ChanNone && !seen[tile] {
 					t.Fatalf("%v→%v: Walk %v misses %v, which Classify charges with %d", src, dst, hops, tile, ch)
 				}
+			}
+		}
+	})
+}
+
+// mirror returns placement pos reflected across the grid's vertical
+// axis: column c becomes cols−1−c, rows stay.
+func mirror(pos []mesh.Coord, cols int) []mesh.Coord {
+	out := make([]mesh.Coord, len(pos))
+	for k, t := range pos {
+		out[k] = mesh.Coord{Row: t.Row, Col: cols - 1 - t.Col}
+	}
+	return out
+}
+
+// observer is one CHA that sees a flow, with the counter it charges.
+type observer struct {
+	ch  Channel
+	cha int
+}
+
+// observers lists the observers of flow src → dst under placement pos —
+// every CHA on a tile Walk charges, with its channel — sorted, as a
+// multiset.
+func observers(pos []mesh.Coord, src, dst mesh.Coord) []observer {
+	var out []observer
+	for _, h := range Walk(nil, src, dst) {
+		for k, t := range pos {
+			if t == h.At {
+				out = append(out, observer{ch: h.Ch, cha: k})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].cha != out[j].cha {
+			return out[i].cha < out[j].cha
+		}
+		return out[i].ch < out[j].ch
+	})
+	return out
+}
+
+// FuzzMirrorInvariance checks the symmetry that lets route.Space, the
+// planner and the reconstruction enumerate one placement per mirror
+// orbit, on random grids up to 4×4 with odd and even column counts:
+// for an unanchored observation — exact or perturbed — Check names the
+// same clause (in particular, none) under a placement and under its
+// mirror image, and every flow between two CHAs is observed by the same
+// multiset of (channel, CHA) pairs under both, which is what makes the
+// planner's predictKey mirror-invariant.
+func FuzzMirrorInvariance(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 3, 1, 4, 8, 0, 1, 2, 3, 4, 5, 6, 7, 8, 2, 0, 3, 1, 2, 0, 1})
+	f.Add([]byte{2, 2, 0, 1, 11, 9, 2, 7, 1, 1, 12, 3, 1, 0, 6, 2, 5, 4})
+	f.Add([]byte{1, 3, 0, 5, 7, 1, 2, 3, 4, 5, 6, 7, 8, 1, 1, 2, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := bytesrc(data)
+		in := decodeInstance(&b)
+		n := len(in.truth)
+		if n < 2 {
+			t.Skip("a one-CHA grid has no CHA-sourced flow")
+		}
+		o := Observation{DstCHA: b.intn(n)}
+		o.SrcCHA = (o.DstCHA + 1 + b.intn(n-1)) % n
+		o = observe(o, in.truth, in.imc)
+		for i := b.intn(3); i > 0; i-- {
+			k := b.intn(n)
+			switch b.intn(3) {
+			case 0:
+				o.Up = append(o.Up, k)
+			case 1:
+				o.Down = append(o.Down, k)
+			default:
+				o.Horz = append(o.Horz, k)
+			}
+		}
+		for _, pos := range [][]mesh.Coord{in.truth, in.cand} {
+			m := mirror(pos, in.cols)
+			for _, gap := range []int{0, 1} {
+				if got, want := Check(&o, m, in.imc, gap), Check(&o, pos, in.imc, gap); got != want {
+					t.Fatalf("srcGap %d on %dx%d: Check = %+v on %v, %+v on its mirror %v (observation %+v)",
+						gap, in.rows, in.cols, want, pos, got, m, o)
+				}
+			}
+			src, dst := pos[o.SrcCHA], pos[o.DstCHA]
+			if got, want := observers(m, m[o.SrcCHA], m[o.DstCHA]), observers(pos, src, dst); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v→%v on %dx%d: observers %v under %v, %v under its mirror", src, dst, in.rows, in.cols, want, pos, got)
 			}
 		}
 	})

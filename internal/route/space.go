@@ -19,6 +19,17 @@ package route
 // The model only ever grows: Add appends the rows of one more
 // observation, minus exact duplicates, so a resumable ilp.Enumerator
 // over it can apply them as cuts to its open search frontier.
+//
+// Mirror orbits. Without a memory-anchored observation nothing fixes
+// east from west: every clause — the column alignments, the row bounds,
+// the east/west disjunction and the all-distinct rule — holds of a
+// placement exactly when it holds of its horizontal mirror image
+// (column c ↦ cols−1−c). A space built for unanchored observations
+// therefore enumerates one representative per orbit {p, mirror(p)}: the
+// member whose column vector (c₀, c₁, …) is lexicographically the
+// smaller. Expand turns a representative back into its two placements,
+// or one when the placement is its own mirror image: every CHA in the
+// middle column of an odd grid.
 
 import (
 	"coremap/internal/ilp"
@@ -49,6 +60,9 @@ type Space struct {
 	numCHA, cols int
 	imc          []mesh.Coord
 	srcGap       int
+	// orbits reports that the space enumerates mirror orbits, one
+	// representative each; it admits unanchored observations only.
+	orbits bool
 
 	// m holds each distinct row of the observations added so far once:
 	// observations overlap heavily — every pair bounce through the same
@@ -58,7 +72,7 @@ type Space struct {
 	m    *ilp.Model
 	seen map[rowKey]struct{}
 	// r and c are CHA k's row and column variables, declared r0, c0,
-	// r1, c1, … (decode with Placement); the branch order c0, r0, c1,
+	// r1, c1, … (decode with Expand); the branch order c0, r0, c1,
 	// r1, … puts columns first. Both fix the search tree, and with it
 	// the planner's schedule and node counts.
 	r, c   []ilp.Var
@@ -79,13 +93,16 @@ type Space struct {
 // NewSpace returns the space of placements of numCHA CHAs on a
 // rows×cols grid before any observation: every placement with
 // all-distinct tiles. imc resolves anchored sources; srcGap is as for
-// SrcBounds.
-func NewSpace(numCHA, rows, cols int, imc []mesh.Coord, srcGap int) *Space {
+// SrcBounds. With orbits set the space enumerates one representative
+// per mirror orbit (see Expand), which is only sound while no
+// observation is anchored: Add panics on one.
+func NewSpace(numCHA, rows, cols int, imc []mesh.Coord, srcGap int, orbits bool) *Space {
 	s := &Space{
 		numCHA:   numCHA,
 		cols:     cols,
 		imc:      imc,
 		srcGap:   srcGap,
+		orbits:   orbits,
 		m:        ilp.NewModel(),
 		seen:     make(map[rowKey]struct{}),
 		r:        make([]ilp.Var, numCHA),
@@ -106,7 +123,12 @@ func NewSpace(numCHA, rows, cols int, imc []mesh.Coord, srcGap int) *Space {
 // model rows (in Linear's order, duplicates dropped), and its horizontal
 // disjunction joins the hooks. Earlier rows are never touched, which is
 // what lets an enumerator over the model resume instead of restart.
+// Adding an anchored observation to a space of orbits panics: it would
+// tell a placement from its mirror, which the space has merged.
 func (s *Space) Add(o Observation) {
+	if o.Anchored && s.orbits {
+		panic("route: anchored observation added to a space of mirror orbits")
+	}
 	s.lins = o.Linear(s.lins[:0], s.imc)
 	for i := range s.lins {
 		l := &s.lins[i]
@@ -134,10 +156,11 @@ func (s *Space) Add(o Observation) {
 func (s *Space) Model() *ilp.Model { return s.m }
 
 // EnumOptions returns the enumeration of the space: the column-first
-// branch order and the all-distinct and disjunction hooks, with at most
-// capN placements collected (0 for no cap). The hooks read the space's
-// observations as they stand when called, and Add only makes them
-// stricter, as a resumable ilp.Enumerator requires.
+// branch order and the all-distinct, disjunction and (in a space of
+// orbits) representative hooks, with at most capN assignments collected
+// (0 for no cap). The hooks read the space's observations as they stand
+// when called, and Add only makes them stricter, as a resumable
+// ilp.Enumerator requires.
 func (s *Space) EnumOptions(capN int) ilp.EnumOptions {
 	return ilp.EnumOptions{
 		BranchOrder: s.branch,
@@ -147,13 +170,25 @@ func (s *Space) EnumOptions(capN int) ilp.EnumOptions {
 	}
 }
 
-// Placement decodes an enumerated assignment into CHA → coordinate.
-func (s *Space) Placement(vals []int64) []mesh.Coord {
+// Expand appends to dst the placements (CHA → coordinate) an enumerated
+// assignment stands for: the one it encodes and, in a space of orbits,
+// that placement's mirror image unless the two coincide.
+func (s *Space) Expand(dst [][]mesh.Coord, vals []int64) [][]mesh.Coord {
 	p := make([]mesh.Coord, s.numCHA)
+	self := true
 	for k := range p {
 		p[k] = coordAt(vals, k)
+		self = self && 2*p[k].Col == s.cols-1
 	}
-	return p
+	dst = append(dst, p)
+	if s.orbits && !self {
+		m := make([]mesh.Coord, s.numCHA)
+		for k, t := range p {
+			m[k] = mesh.Coord{Row: t.Row, Col: s.cols - 1 - t.Col}
+		}
+		dst = append(dst, m)
+	}
+	return dst
 }
 
 // coordAt decodes CHA k from an assignment of the space's variables.
@@ -164,9 +199,13 @@ func coordAt(vals []int64, k int) mesh.Coord {
 // accept is the leaf filter: given a full assignment, enforce
 // the conditions the model omits — every CHA on its own tile, and every
 // observation's horizontal observers reachable in a single direction of
-// travel. CHAs may share a tile with a memory controller; all-distinct
-// is CHA-vs-CHA only.
+// travel — and, in a space of orbits, that the assignment is its orbit's
+// representative. CHAs may share a tile with a memory controller;
+// all-distinct is CHA-vs-CHA only.
 func (s *Space) accept(vals []int64) bool {
+	if s.orbits && !s.representative(vals) {
+		return false
+	}
 	coords := s.coords
 	for k := 0; k < s.numCHA; k++ {
 		coords[k] = coordAt(vals, k)
@@ -196,7 +235,13 @@ func (s *Space) accept(vals []int64) bool {
 // long before a full placement is assembled. Both tests are monotone in
 // the fixed set, as Prune's contract requires, and in the observation
 // set: Add only adds disjunctions, so a subtree cut once stays cut.
+// In a space of orbits it also cuts every subtree whose c₀ lies past the
+// middle column — c₀ is the first branch variable, and such a placement
+// has the larger column vector of its orbit.
 func (s *Space) prune(lo, hi []int64) bool {
+	if s.orbits && 2*lo[1] > int64(s.cols-1) {
+		return false
+	}
 	coords, placed := s.coords, s.placed
 	s.cellEpoch++
 	for k := 0; k < s.numCHA; k++ {
@@ -219,6 +264,18 @@ func (s *Space) prune(lo, hi []int64) bool {
 		}
 		if ready && !h.HorzFeasible(coords, s.imc, s.srcGap) {
 			return false
+		}
+	}
+	return true
+}
+
+// representative reports whether assignment vals is its mirror orbit's
+// representative: at the first CHA off the middle column, if any, its
+// column lies west of the middle.
+func (s *Space) representative(vals []int64) bool {
+	for k := 0; k < s.numCHA; k++ {
+		if c, m := vals[2*k+1], int64(s.cols-1)-vals[2*k+1]; c != m {
+			return c < m
 		}
 	}
 	return true
